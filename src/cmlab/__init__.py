@@ -22,7 +22,7 @@ from .degseq import (
     validate,
     window_params,
 )
-from .generator import Multigraph, Seed, half_edge_count, sample
+from .generator import Multigraph, Seed, sample
 from .montecarlo import (
     BuildTargets,
     EstimateReport,
@@ -67,7 +67,6 @@ __all__ = [
     "exact_factorial_moment",
     "exact_law",
     "expected_complement",
-    "half_edge_count",
     "is_connected",
     "is_simple",
     "lambda_cycle",

@@ -6,6 +6,23 @@ degree-2 vertices, k edges; a degree-2 vertex with a self-loop is a cycle
 of length 1), line components L_k (2 degree-1 endpoints, k-2 degree-2
 interior vertices), self-loop edges S, parallel-edge pairs M, the largest
 component, and the vertices outside it.
+
+The census reads the graph's half-edge pairing directly; no edge list is
+built. The adjacency matrix comes straight from the pairing: its row
+pointer is the sequence's half-edge offsets, and the column of half-edge
+h is the owner of h's partner. In the critical window every vertex of
+degree >= 3 lies in the giant with high probability, and what is left is
+a few lines and cycles of degree-1 and degree-2 vertices. So one
+breadth-first search from a maximum-degree vertex covers the giant in the
+usual case, and only the vertices it did not reach are labelled. The
+per-component counts run over those vertices alone; the searched
+component's counts are the sequence totals minus theirs. The giant is
+then chosen among all components by size and lowest vertex id, which is
+exact whichever component the search happened to cover.
+
+Up to _UNION_FIND_MAX_N = 256 vertices a plain union-find over the same
+pairs labels every vertex instead: there scipy's fixed cost per call
+dominates (the exact oracle runs at that size).
 """
 
 from __future__ import annotations
@@ -15,18 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .degseq import DegreeSequence
 from .errors import DegreeMismatch
 from .generator import Multigraph, Seed, _as_generator
 
-# Below this vertex count a plain union-find beats the sparse-matrix setup
-# cost; both paths produce identical component partitions.
+# Up to this vertex count a plain union-find beats scipy's set-up cost;
+# both paths produce identical censuses.
 _UNION_FIND_MAX_N = 256
 
 
-def _labels_union_find(n: int, edges: np.ndarray) -> np.ndarray:
+def _labels_union_find(n: int, a: list[int], b: list[int]) -> list[int]:
     parent = list(range(n))
     size = [1] * n
 
@@ -38,30 +55,75 @@ def _labels_union_find(n: int, edges: np.ndarray) -> np.ndarray:
             parent[x], x = root, parent[x]
         return root
 
-    for u, v in edges:
-        ru, rv = find(int(u)), find(int(v))
+    for u, v in zip(a, b):
+        ru, rv = find(u), find(v)
         if ru == rv:
             continue
         if size[ru] < size[rv]:
             ru, rv = rv, ru
         parent[rv] = ru
         size[ru] += size[rv]
-    return np.array([find(v) for v in range(n)], dtype=np.int64)
+    return [find(v) for v in range(n)]
 
 
-def _labels_scipy(n: int, edges: np.ndarray) -> np.ndarray:
-    data = np.ones(len(edges), dtype=np.int8)
-    adj = csr_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n, n))
-    # weak connectivity on the one-directional edge rows equals undirected
-    # connectivity and skips the symmetrization pass
-    _, labels = connected_components(adj, directed=True, connection="weak")
-    return labels
+def _tally(vertices: np.ndarray, labels: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Per-component rows (size, #degree 1, #degree 2, #degree >= 3,
+    lowest vertex) of the listed vertices, given in ascending order and
+    grouped by label; one column per component."""
+    _, first, comp = np.unique(labels, return_index=True, return_inverse=True)
+    k = len(first)
+    d = deg[vertices]
+    return np.stack((
+        np.bincount(comp, minlength=k),
+        np.bincount(comp[d == 1], minlength=k),
+        np.bincount(comp[d == 2], minlength=k),
+        np.bincount(comp[d >= 3], minlength=k),
+        vertices[first],
+    ))
 
 
-def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
-    if n <= _UNION_FIND_MAX_N:
-        return _labels_union_find(n, edges)
-    return _labels_scipy(n, edges)
+def _tally_search(seq: DegreeSequence, pairing: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """_tally of every component: one search, then labels for the rest."""
+    n = seq.n
+    deg = seq.degrees
+    cols = np.empty(seq.ell, dtype=np.int32)
+    cols[pairing[:, 0]] = ends[:, 1]
+    cols[pairing[:, 1]] = ends[:, 0]
+    # int32 indices and float64 data are what scipy's graph routines use
+    # internally; any other dtype is copied on every call
+    adj = csr_matrix((np.ones(seq.ell), cols, seq.half_edge_offsets), shape=(n, n))
+    # the matrix is symmetric, so a directed search covers the component
+    reached = breadth_first_order(adj, int(np.argmax(deg)), directed=True,
+                                  return_predecessors=False)
+    rest = labels = np.zeros(0, dtype=np.int32)
+    if len(reached) < n:
+        unreached = np.ones(n, dtype=bool)
+        unreached[reached] = False
+        rest = np.flatnonzero(unreached)
+        # "weak" on a symmetric matrix is undirected connectivity; scipy's
+        # "strong" mode does not return on a matrix with duplicate entries
+        _, labels = connected_components(adj[rest][:, rest], directed=True,
+                                         connection="weak")
+    table = _tally(rest, labels, deg)
+    left1, left2, left3 = table[1:4].sum(axis=1)
+    searched = (len(reached), seq.n1 - left1, seq.n2 - left2,
+                n - seq.n1 - seq.n2 - left3, int(reached.min()))
+    return np.column_stack((searched, table))
+
+
+def _check_degrees(g: Multigraph, degrees: DegreeSequence) -> None:
+    if g.n != degrees.n:
+        raise DegreeMismatch(f"graph has {g.n} vertices, sequence has {degrees.n}")
+    realized = g.realized_degrees()
+    if len(realized) > g.n:
+        raise DegreeMismatch(f"vertex {len(realized) - 1} is outside 0..{g.n - 1}")
+    deg = degrees.degrees
+    if not np.array_equal(realized, deg):
+        bad = int(np.flatnonzero(realized != deg)[0])
+        raise DegreeMismatch(
+            f"vertex {bad}: realized degree {int(realized[bad])} != "
+            f"prescribed {int(deg[bad])}"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,59 +173,54 @@ def component_census(g: Multigraph, degrees: DegreeSequence) -> ComponentCensus:
 
     The largest component breaks size ties by lowest minimum vertex id.
     Cycles and lines are counted over all components, including the
-    largest. Raises DegreeMismatch if the realized degrees disagree with
-    the sequence.
+    largest. A graph sampled from `degrees` is trusted; any other graph
+    has its realized degrees checked first and raises DegreeMismatch if
+    they disagree with the sequence.
     """
-    if g.n != degrees.n:
-        raise DegreeMismatch(f"graph has {g.n} vertices, sequence has {degrees.n}")
-    deg = np.asarray(degrees.degrees, dtype=np.int64)
-    realized = g.realized_degrees()
-    if not np.array_equal(realized, deg):
-        bad = int(np.flatnonzero(realized != deg)[0])
-        raise DegreeMismatch(
-            f"vertex {bad}: realized degree {int(realized[bad])} != "
-            f"prescribed {int(deg[bad])}"
-        )
+    if g.owners is not degrees.half_edge_owners:
+        _check_degrees(g, degrees)
+    n = degrees.n
+    ends = degrees.half_edge_owners[g.pairing]
+    a, b = ends[:, 0], ends[:, 1]
+    if n <= _UNION_FIND_MAX_N:
+        roots = _labels_union_find(n, a.tolist(), b.tolist())
+        table = _tally(np.arange(n), np.array(roots), degrees.degrees)
+    else:
+        table = _tally_search(degrees, g.pairing, ends)
 
-    raw = _component_labels(g.n, g.edges)
-    roots, first_vertex, labels = np.unique(raw, return_index=True, return_inverse=True)
-    k = len(roots)
-    sizes = np.bincount(labels, minlength=k)
-    edges_per = np.bincount(labels[g.edges[:, 0]], minlength=k)
-    n1_per = np.bincount(labels[deg == 1], minlength=k)
-    n2_per = np.bincount(labels[deg == 2], minlength=k)
+    sizes, n1, n2, n3, lowest = table
+    is_cycle = n2 == sizes
+    is_line = (n1 == 2) & (n2 == sizes - 2)
+    biggest = np.flatnonzero(sizes == sizes.max())
+    giant = biggest[np.argmin(lowest[biggest])]
+    outside = np.ones(len(sizes), dtype=bool)
+    outside[giant] = False
 
-    is_cycle = (n2_per == sizes) & (edges_per == sizes)
-    is_line = (n1_per == 2) & (n2_per == sizes - 2) & (edges_per == sizes - 1)
-
-    giant_cands = np.flatnonzero(sizes == sizes.max())
-    giant = giant_cands[np.argmin(first_vertex[giant_cands])]
-    giant_size = int(sizes[giant])
-
-    outside = np.arange(k) != giant
-    other_mask = outside & ~is_cycle & ~is_line
-    cycle_counts = Counter(int(s) for s in sizes[is_cycle])
-    line_counts = Counter(int(s) for s in sizes[is_line])
-
-    loops = g.edges[:, 0] == g.edges[:, 1]
-    self_loops = int(loops.sum())
-    plain = g.edges[~loops]
+    key = np.minimum(a, b).astype(np.int64)
+    key *= n
+    key += np.maximum(a, b)
+    key.sort()
+    repeats = key[1:][key[1:] == key[:-1]]
+    # a self-loop at v has the key v*(n+1), which no other edge has; loops
+    # at one vertex are not parallel edges
+    repeats = repeats[repeats % (n + 1) != 0]
     multi_edges = 0
-    if len(plain):
-        key = plain[:, 0] * np.int64(g.n) + plain[:, 1]
-        _, mult = np.unique(key, return_counts=True)
-        multi_edges = int((mult * (mult - 1) // 2).sum())
+    if len(repeats):
+        # a pair joined by m parallel edges repeats m-1 times: C(m, 2) pairs
+        _, extra = np.unique(repeats, return_counts=True)
+        multi_edges = int((extra * (extra + 1) // 2).sum())
 
+    giant_size = int(sizes[giant])
     return ComponentCensus(
-        n=g.n,
-        cycle_counts=dict(cycle_counts),
-        line_counts=dict(line_counts),
-        self_loops=self_loops,
+        n=n,
+        cycle_counts=dict(Counter(sizes[is_cycle].tolist())),
+        line_counts=dict(Counter(sizes[is_line].tolist())),
+        self_loops=int(np.count_nonzero(a == b)),
         multi_edges=multi_edges,
         giant_size=giant_size,
-        complement=g.n - giant_size,
-        other_outside_giant=int(sizes[other_mask].sum()),
-        deg3_outside_giant=int(((deg >= 3) & (labels != giant)).sum()),
+        complement=n - giant_size,
+        other_outside_giant=int(sizes[outside & ~is_cycle & ~is_line].sum()),
+        deg3_outside_giant=int(n3.sum() - n3[giant]),
     )
 
 
@@ -214,8 +271,8 @@ def run_exploration(
     if not 0 <= start < seq.n:
         raise ValueError(f"start vertex {start} out of range")
     rng = _as_generator(seed)
-    deg = np.asarray(seq.degrees, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(deg)))
+    deg = seq.degrees
+    offsets = seq.half_edge_offsets
     owners = seq.half_edge_owners
     ell = seq.ell
     threshold = seq.n / 2

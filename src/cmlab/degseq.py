@@ -47,10 +47,23 @@ class DegreeSequence:
 
     @cached_property
     def half_edge_owners(self) -> np.ndarray:
-        """Owner vertex of each half-edge id, ids laid out by vertex."""
-        owners = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        """Owner vertex of each half-edge id, ids laid out by vertex.
+
+        int32, like `half_edge_offsets`: scipy's graph routines take
+        int32 CSR indices without copying them.
+        """
+        owners = np.repeat(np.arange(self.n, dtype=np.int32), self.degrees)
         owners.flags.writeable = False
         return owners
+
+    @cached_property
+    def half_edge_offsets(self) -> np.ndarray:
+        """First half-edge id of each vertex, plus ell at the end (n+1
+        entries): the row pointer of the multigraph's adjacency matrix."""
+        offsets = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(self.degrees, out=offsets[1:])
+        offsets.flags.writeable = False
+        return offsets
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DegreeSequence):

@@ -39,3 +39,7 @@ class DegreeMismatch(CmlabError):
 
 class ZeroAcceptedSamples(CmlabError):
     """Conditioning by rejection discarded every replicate."""
+
+
+class MalformedEdgeList(CmlabError):
+    """An edge dump line is not two vertex ids within 1..n."""

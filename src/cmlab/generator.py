@@ -4,15 +4,23 @@ Vertex v owns d_v half-edges; the half-edges are laid out contiguously by
 vertex as ids 0..ell-1. A uniform shuffle of the ids paired at positions
 (2i, 2i+1) is a perfect matching drawn uniformly from all (ell-1)!!
 matchings, which induces the sampled multigraph.
+
+A Multigraph is kept as that pairing, not as an edge list: the census
+reads the pairing directly, and the edge list is derived only when it is
+asked for (the edge dump, tests). An edge list read from outside becomes
+a pairing too, with its endpoints numbered by a stable rank of their
+vertex, so it enters the same census after its degrees are checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .degseq import DegreeSequence
+from .errors import MalformedEdgeList
 
 _U64 = 2**64
 
@@ -51,28 +59,41 @@ def _as_generator(seed: Seed | np.random.Generator | int) -> np.random.Generator
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Edge list of a realized pairing; self-loops and parallel edges kept.
+    """A perfect matching of half-edges and the multigraph it induces.
 
-    `edges` is a read-only (ell/2, 2) array of 0-based vertex pairs with
-    u <= v per row. A self-loop at v appears as the row (v, v) and
-    contributes 2 to v's realized degree.
+    `owners[h]` is the vertex of half-edge h, non-decreasing in h, and
+    `pairing` is an (ell/2, 2) array of half-edge ids, one row per edge.
+    A sampled graph shares its sequence's `half_edge_owners` array; that
+    is how the census knows its degrees need no re-check. Self-loops and
+    parallel edges are kept.
     """
 
     n: int
-    edges: np.ndarray
+    owners: np.ndarray
+    pairing: np.ndarray
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> Multigraph:
+        """The multigraph of a 0-based edge list (vertex pairs, one row per
+        edge). Half-edge ids number the endpoints by a stable rank of
+        their vertex, so a graph whose degrees match a sequence gets that
+        sequence's owner layout."""
+        ends = np.asarray(edges, dtype=np.int64).ravel()
+        order = np.argsort(ends, kind="stable")
+        ids = np.empty_like(order)
+        ids[order] = np.arange(len(order))
+        return cls(n=n, owners=ends[order], pairing=ids.reshape(-1, 2))
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Read-only (ell/2, 2) vertex pairs with u <= v per row, in pairing
+        order; a self-loop at v is the row (v, v). Derived on first access."""
+        edges = np.sort(self.owners[self.pairing], axis=1)
+        edges.flags.writeable = False
+        return edges
 
     def realized_degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
-
-
-def half_edge_count(seq: DegreeSequence) -> int:
-    """Total number of half-edges, ell."""
-    return seq.ell
-
-
-def half_edge_owners(seq: DegreeSequence) -> np.ndarray:
-    """Owner vertex of each half-edge id (ids grouped by vertex)."""
-    return seq.half_edge_owners
 
 
 def sample_pairing(
@@ -99,20 +120,10 @@ def matching_key(pairing: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(a), int(b)) for a, b in pairs[order])
 
 
-def multigraph_from_pairing(seq: DegreeSequence, pairing) -> Multigraph:
-    """Collapse a half-edge matching into its multigraph."""
-    owners = seq.half_edge_owners
-    pairs = np.asarray(pairing, dtype=np.int64).reshape(-1, 2)
-    a = owners[pairs[:, 0]]
-    b = owners[pairs[:, 1]]
-    edges = np.column_stack((np.minimum(a, b), np.maximum(a, b)))
-    edges.flags.writeable = False
-    return Multigraph(n=seq.n, edges=edges)
-
-
 def sample(seq: DegreeSequence, seed: Seed | np.random.Generator | int) -> Multigraph:
-    """Sample the multigraph of a uniform half-edge pairing."""
-    return multigraph_from_pairing(seq, sample_pairing(seq, seed))
+    """Sample a uniform half-edge pairing as a multigraph of `seq`."""
+    return Multigraph(n=seq.n, owners=seq.half_edge_owners,
+                      pairing=sample_pairing(seq, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +137,28 @@ def format_edges(g: Multigraph) -> str:
 
 
 def parse_edges(text: str, n: int | None = None) -> Multigraph:
-    """Parse an edge dump; n defaults to the largest vertex id seen."""
+    """Parse an edge dump; n defaults to the largest vertex id seen.
+
+    Raises MalformedEdgeList, naming the line, for a line that is not two
+    integer vertex ids in 1..n.
+    """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        u, v = (int(f) for f in line.split())
+        try:
+            u, v = (int(f) for f in line.split())
+        except ValueError:
+            raise MalformedEdgeList(
+                f"line {lineno}: expected two integer vertex ids, got {line!r}"
+            ) from None
         if min(u, v) < 1:
-            raise ValueError(f"line {lineno}: vertex ids are 1-indexed")
-        rows.append((min(u, v) - 1, max(u, v) - 1))
+            raise MalformedEdgeList(f"line {lineno}: vertex ids are 1-indexed")
+        if n is not None and max(u, v) > n:
+            raise MalformedEdgeList(f"line {lineno}: vertex id {max(u, v)} exceeds n = {n}")
+        rows.append((u - 1, v - 1))
     edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
     if n is None:
         n = int(edges.max()) + 1 if len(rows) else 0
-    edges.flags.writeable = False
-    return Multigraph(n=n, edges=edges)
+    return Multigraph.from_edges(n, edges)

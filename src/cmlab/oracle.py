@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .census import ComponentCensus, component_census
 from .degseq import DegreeSequence
 from .errors import TooLarge
-from .generator import multigraph_from_pairing
+from .generator import Multigraph
 
 HALF_EDGE_CAP = 16
 
@@ -122,18 +124,23 @@ def exact_law(seq: DegreeSequence, cap: int = HALF_EDGE_CAP) -> ExactLaw:
     """Aggregate the exact census law over every matching.
 
     Each matching carries weight 1/(ell-1)!!. Distinct matchings that
-    collapse to the same multigraph share a cached census.
+    induce the same multigraph share a cached census, keyed by the sorted
+    tuple of their edges' owner pairs.
     """
-    census_cache: dict[bytes, CensusKey] = {}
+    owners = seq.half_edge_owners
+    # a canonical matching pairs x < y, and owners never decrease with the
+    # half-edge id, so (owner[x], owner[y]) is already ordered
+    edge_of = [[(u, v) for v in owners.tolist()] for u in owners.tolist()]
+    census_cache: dict[tuple[tuple[int, int], ...], CensusKey] = {}
     outcome_counts: Counter[CensusKey] = Counter()
     total = 0
     for matching in enumerate_matchings(seq, cap=cap):
-        g = multigraph_from_pairing(seq, matching)
-        ekey = g.edges.tobytes()
-        key = census_cache.get(ekey)
+        gkey = tuple(sorted([edge_of[x][y] for x, y in matching]))
+        key = census_cache.get(gkey)
         if key is None:
+            g = Multigraph(n=seq.n, owners=owners, pairing=np.array(matching))
             key = census_key(component_census(g, seq))
-            census_cache[ekey] = key
+            census_cache[gkey] = key
         outcome_counts[key] += 1
         total += 1
 

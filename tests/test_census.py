@@ -4,18 +4,18 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from cmlab import census, degseq, generator
 from cmlab.errors import DegreeMismatch
 
+from reference_census import reference_census, reference_labels
 from test_degseq import degree_sequences
 
 
 def _graph(n, rows):
-    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    edges.flags.writeable = False
-    return generator.Multigraph(n=n, edges=edges)
+    return generator.Multigraph.from_edges(n, rows)
 
 
 def test_double_edge_outcome():
@@ -80,6 +80,13 @@ def test_giant_tie_breaks_by_lowest_vertex():
     assert c.giant_size == 2
     assert c.complement == 2
     assert c.deg3_outside_giant == 0
+    # a tie between a triple edge and a line: the one holding vertex 0 wins
+    s = degseq.validate([3, 1, 1, 3])
+    c = census.component_census(_graph(4, [(1, 2), (0, 3), (0, 3), (0, 3)]), s)
+    assert c.deg3_outside_giant == 0 and c.other_outside_giant == 0
+    s = degseq.validate([1, 3, 3, 1])
+    c = census.component_census(_graph(4, [(1, 2), (0, 3), (1, 2), (1, 2)]), s)
+    assert c.deg3_outside_giant == 2 and c.other_outside_giant == 2
 
 
 def test_deg3_outside_giant_counted():
@@ -99,6 +106,8 @@ def test_degree_mismatch_detected():
         census.component_census(_graph(2, [(0, 1), (1, 1)]), s)
     with pytest.raises(DegreeMismatch):
         census.component_census(_graph(3, [(0, 1), (1, 2)]), s)
+    with pytest.raises(DegreeMismatch, match="vertex 2 is outside 0..1"):
+        census.component_census(_graph(2, [(0, 1), (1, 2)]), s)
 
 
 def test_census_json_field_names():
@@ -114,22 +123,111 @@ def test_census_json_field_names():
     assert d["deg3_outside_giant"] == 0
 
 
-def test_union_find_and_scipy_paths_agree():
+def test_union_find_and_scipy_paths_agree(monkeypatch):
+    """The small-n union-find and the search-then-label path give the same
+    census on the same graphs, whichever side of the switch n falls."""
     rng = np.random.default_rng(99)
+    graphs = []
     for _ in range(60):
-        degs = rng.integers(1, 5, size=int(rng.integers(2, 40)))
+        degs = rng.integers(1, 5, size=int(rng.integers(2, 400)))
         if degs.sum() % 2 != 0:
             degs = np.append(degs, 1)
         s = degseq.validate(degs)
-        g = generator.sample(s, generator.Seed(int(rng.integers(2**63))))
-        a = census._labels_union_find(g.n, g.edges)
-        b = census._labels_scipy(g.n, g.edges)
-        # same partition up to relabeling
-        _, ia = np.unique(a, return_inverse=True)
-        _, ib = np.unique(b, return_inverse=True)
-        remap = {}
-        for x, y in zip(ia.tolist(), ib.tolist()):
-            assert remap.setdefault(x, y) == y
+        graphs.append((s, generator.sample(s, generator.Seed(int(rng.integers(2**63))))))
+    results = []
+    for switch in (0, 10**9):
+        monkeypatch.setattr(census, "_UNION_FIND_MAX_N", switch)
+        results.append([census.component_census(g, s) for s, g in graphs])
+    assert results[0] == results[1]
+
+
+@st.composite
+def census_inputs(draw):
+    """A shuffled degree sequence of up to 750 vertices, either side of the
+    union-find switch at 256, and a sampling seed."""
+    counts = draw(st.dictionaries(st.integers(1, 5), st.integers(1, 150), min_size=1))
+    degs = [d for d, m in sorted(counts.items()) for _ in range(m)]
+    if sum(degs) % 2:
+        degs.append(1)
+    order = draw(st.permutations(range(len(degs))))
+    return [degs[i] for i in order], draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(census_inputs())
+def test_census_equals_edge_list_reference(inputs):
+    raw, seed = inputs
+    s = degseq.validate(raw)
+    g = generator.sample(s, generator.Seed(seed))
+    assert census.component_census(g, s) == reference_census(g, s)
+
+
+def _cycle(vertices):
+    return [(u, v) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
+
+
+# hand-made graphs on 300 vertices (the search path) that a sampled graph
+# rarely shows: (degrees, 0-based edges, census fields they must give)
+_BIG_CASES = {
+    # the maximum-degree vertices 0 and 1 form a 4-fold edge; the giant is
+    # the 298-cycle the search did not reach
+    "search_starts_outside_giant": (
+        [4, 4] + [2] * 298,
+        [(0, 1)] * 4 + _cycle(list(range(2, 300))),
+        {"giant_size": 298, "cycle_counts": {298: 1}, "other_outside_giant": 2,
+         "deg3_outside_giant": 2},
+    ),
+    # the search starts at the vertex with two loops; the leftover also
+    # holds a double edge, a loop and a triple edge: duplicate matrix
+    # entries that scipy must label
+    "duplicates_among_leftover": (
+        [3] * 290 + [2, 2, 2, 4, 3, 3] + [2] * 4,
+        [(i, (i + 1) % 290) for i in range(290)]
+        + [(i, (i + 145) % 290) for i in range(145)]
+        + [(290, 291), (290, 291), (292, 292), (293, 293), (293, 293)]
+        + [(294, 295)] * 3 + _cycle([296, 297, 298, 299]),
+        {"giant_size": 290, "self_loops": 3, "multi_edges": 4,
+         "cycle_counts": {2: 1, 1: 1, 4: 1}},
+    ),
+    # every vertex has degree 2 and the whole graph is one cycle
+    "giant_is_a_cycle": (
+        [2] * 300, _cycle(list(range(300))), {"cycle_counts": {300: 1}, "complement": 0},
+    ),
+    # 150 single edges of equal size; the one holding vertex 0 is the giant
+    "all_components_tie": (
+        [1] * 300, [(2 * i, 2 * i + 1) for i in range(150)][::-1],
+        {"giant_size": 2, "line_counts": {2: 150}},
+    ),
+    # ties between a line and triple edges: the line holds vertex 0 and wins,
+    # though the search starts at vertex 2 ...
+    "tie_won_by_leftover": (
+        [1, 1] + [3] * 298, [(0, 1)] + [(2 * i, 2 * i + 1) for i in range(1, 150)] * 3,
+        {"other_outside_giant": 298, "deg3_outside_giant": 298},
+    ),
+    # ... and the triple edge holding vertex 0 wins where the search starts
+    "tie_won_by_search": (
+        [3, 3] + [1] * 298, [(0, 1)] * 3 + [(2 * i, 2 * i + 1) for i in range(1, 150)],
+        {"other_outside_giant": 0, "line_counts": {2: 149}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BIG_CASES))
+def test_census_equals_reference_on_hand_made_graphs(name):
+    raw, rows, expected = _BIG_CASES[name]
+    s = degseq.validate(raw)
+    g = _graph(s.n, rows)
+    c = census.component_census(g, s)
+    assert c == reference_census(g, s)
+    assert {field: getattr(c, field) for field in expected} == expected
+
+
+@pytest.mark.parametrize("counts", [{1: 40}, {1: 400}, {2: 40}, {2: 400}])
+def test_census_equals_reference_on_tie_and_cycle_sequences(counts):
+    s = degseq.from_counts(counts)
+    for stream in range(20):
+        g = generator.sample(s, generator.Seed(2024, stream))
+        assert census.component_census(g, s) == reference_census(g, s)
 
 
 @settings(max_examples=50, deadline=None)
@@ -229,7 +327,7 @@ def test_exploration_component_size_matches_census():
         )
         explored[tr.vertices_found] += 1
         g = generator.sample(s, generator.Seed(606, 2 * i))
-        labels = census._component_labels(g.n, g.edges)
+        labels = reference_labels(g.n, g.edges)
         censused[int((labels == labels[start]).sum())] += 1
 
     buckets = [1, 2, 3, 4, 5]  # plus the ">5" bucket (the giant)

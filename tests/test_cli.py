@@ -77,6 +77,32 @@ def test_analyze_graph_file(tmp_path, capsys):
     assert payload["cycle_counts"] == {"1": 1}
 
 
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("1 2\n3 9\n", "line 2: vertex id 9 exceeds n = 3"),
+        ("1 2\n2 3 3\n", "line 2: expected two integer vertex ids"),
+        ("1 x\n", "line 1: expected two integer vertex ids"),
+        ("# header\n1 2\n0 3\n", "line 3: vertex ids are 1-indexed"),
+    ],
+)
+def test_analyze_graph_file_rejects_malformed_lines(tmp_path, capsys, text, fragment):
+    graph = tmp_path / "edges.txt"
+    graph.write_text(text, encoding="utf-8")
+    code, out, err = _run(["analyze", "--degrees", "1,2,1", "--graph", str(graph)], capsys)
+    assert code == 1
+    assert out == ""
+    assert fragment in err
+
+
+def test_analyze_graph_file_with_wrong_degrees(tmp_path, capsys):
+    graph = tmp_path / "edges.txt"
+    graph.write_text("1 2\n2 3\n", encoding="utf-8")
+    code, _, err = _run(["analyze", "--degrees", "1,1,2", "--graph", str(graph)], capsys)
+    assert code == 1
+    assert "vertex 1: realized degree 2 != prescribed 1" in err
+
+
 def test_simulate_reproducible_stdout(capsys):
     argv = [
         "simulate", "--n", "300", "--rho1", "1.0", "--p2", "0.3",

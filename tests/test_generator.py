@@ -11,12 +11,6 @@ from cmlab import degseq, generator, oracle
 from test_degseq import degree_sequences
 
 
-def test_half_edge_count():
-    assert generator.half_edge_count(degseq.validate([2, 2])) == 4
-    assert generator.half_edge_count(degseq.validate([1, 1, 2])) == 4
-    assert generator.half_edge_count(degseq.validate([3, 3])) == 6
-
-
 def test_single_edge_sequence():
     s = degseq.validate([1, 1])
     g = generator.sample(s, generator.Seed(123))

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cmlab import degseq, generator, oracle, theory
@@ -126,7 +127,8 @@ def test_monte_carlo_agrees_with_exact_law(raw, master):
     for matching in oracle.enumerate_matchings(seq):
         from cmlab.census import component_census
 
-        g = generator.multigraph_from_pairing(seq, matching)
+        g = generator.Multigraph(n=seq.n, owners=seq.half_edge_owners,
+                                 pairing=np.array(matching))
         census_of[matching] = oracle.census_key(component_census(g, seq))
 
     n_samples = 100_000
