@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import census, degseq, generator, montecarlo, oracle, theory
-from .errors import CmlabError
+from .errors import CmlabError, MalformedDegreeList
 
 
 def _add_degree_source(parser: argparse.ArgumentParser, with_build: bool = False):
@@ -30,6 +30,37 @@ def _add_degree_source(parser: argparse.ArgumentParser, with_build: bool = False
         group.add_argument("--bulk", type=int, default=3, help="build: bulk degree (>= 3)")
 
 
+def _degree_list(text: str) -> list[int]:
+    """--degrees: comma-separated integer degrees."""
+    degrees = []
+    for item in text.split(","):
+        if not item:
+            continue
+        try:
+            degrees.append(int(item))
+        except ValueError:
+            raise MalformedDegreeList(
+                f"--degrees: expected an integer degree, got {item!r}"
+            ) from None
+    return degrees
+
+
+def _degree_counts(text: str) -> dict[int, int]:
+    """--counts: comma-separated degree:count items."""
+    counts: dict[int, int] = {}
+    for item in text.split(","):
+        try:
+            deg, mult = (int(f) for f in item.split(":"))
+            if mult < 0:
+                raise ValueError
+        except ValueError:
+            raise MalformedDegreeList(
+                f"--counts: expected degree:count (integers, count >= 0), got {item!r}"
+            ) from None
+        counts[deg] = counts.get(deg, 0) + mult
+    return counts
+
+
 def _resolve_sequence(args: argparse.Namespace) -> degseq.DegreeSequence:
     sources = [args.degrees, args.counts, args.file, getattr(args, "n", None)]
     if sum(s is not None for s in sources) != 1:
@@ -38,13 +69,9 @@ def _resolve_sequence(args: argparse.Namespace) -> degseq.DegreeSequence:
             + (" / --n" if hasattr(args, "n") else "")
         )
     if args.degrees is not None:
-        return degseq.validate([int(f) for f in args.degrees.split(",") if f])
+        return degseq.validate(_degree_list(args.degrees))
     if args.counts is not None:
-        counts = {}
-        for item in args.counts.split(","):
-            deg, mult = item.split(":")
-            counts[int(deg)] = counts.get(int(deg), 0) + int(mult)
-        return degseq.from_counts(counts)
+        return degseq.from_counts(_degree_counts(args.counts))
     if args.file is not None:
         return degseq.load_degrees(args.file)
     return degseq.build_sequence(args.n, args.rho1, args.p2, args.bulk)
@@ -55,6 +82,11 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _json(obj: dict) -> str:
+    """Sorted, indented strict JSON: NaN and infinities raise ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_generate(args) -> int:
@@ -72,7 +104,7 @@ def _cmd_analyze(args) -> int:
     else:
         g = generator.sample(seq, generator.Seed(args.seed, args.stream))
     c = census.component_census(g, seq)
-    _emit(json.dumps(c.to_json_dict(), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json(c.to_json_dict()), args.out)
     return 0
 
 
@@ -88,14 +120,14 @@ def _cmd_theory(args) -> int:
         nu = math.inf if args.nu is None else args.nu
         params = degseq.LimitParams(rho1=args.rho1, p2=args.p2, d=args.d, nu=nu)
     pred = theory.predict(params, seq=seq, x_max=args.x_max, trunc_k=args.trunc_k)
-    _emit(json.dumps(pred.to_json_dict(), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json(pred.to_json_dict()), args.out)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     seq = _resolve_sequence(args)
     law = oracle.exact_law(seq, cap=args.cap)
-    _emit(json.dumps(law.to_json_dict(), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json(law.to_json_dict()), args.out)
     return 0
 
 

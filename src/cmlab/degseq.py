@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleTargets, OddTotalDegree, ZeroOrNegativeDegree
+from .errors import (
+    InfeasibleTargets,
+    InvalidLimitParams,
+    MalformedDegreeList,
+    OddTotalDegree,
+    ZeroOrNegativeDegree,
+)
 
 #: nu values above this cap are treated as infinite by to_limit_params.
 NU_CAP_DEFAULT = 1e6
@@ -85,7 +91,9 @@ class WindowParams:
 class LimitParams:
     """Limiting window parameters feeding every closed-form prediction.
 
-    `nu` may be math.inf; series-based formulas additionally require
+    rho1 and p2 must be finite and >= 0, d finite and > 0, and nu >= 0
+    or math.inf; anything else (NaN included) raises InvalidLimitParams
+    naming the field. Series-based formulas additionally require
     2*p2 < d, which is enforced at the evaluation sites in `theory`.
     """
 
@@ -93,6 +101,16 @@ class LimitParams:
     p2: float
     d: float
     nu: float
+
+    def __post_init__(self):
+        for name in ("rho1", "p2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidLimitParams(f"{name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise InvalidLimitParams(f"d must be finite and > 0, got {self.d}")
+        if not self.nu >= 0:  # false for NaN too
+            raise InvalidLimitParams(f"nu must be >= 0 or inf, got {self.nu}")
 
 
 def validate(raw_degrees) -> DegreeSequence:
@@ -207,19 +225,30 @@ def to_limit_params(w: WindowParams, nu_cap: float = NU_CAP_DEFAULT) -> LimitPar
 
 
 def parse_degrees(text: str) -> DegreeSequence:
-    """Parse the plain-text degree file format."""
+    """Parse the plain-text degree file format.
+
+    Raises MalformedDegreeList, naming the line, for a line that is not
+    one integer degree or an integer degree and a count >= 0.
+    """
     counts: Counter[int] = Counter()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) == 1:
-            counts[int(fields[0])] += 1
-        elif len(fields) == 2:
-            counts[int(fields[0])] += int(fields[1])
-        else:
-            raise ValueError(f"line {lineno}: expected 'degree' or 'degree count'")
+        try:
+            if len(fields) > 2:
+                raise ValueError
+            deg = int(fields[0])
+            mult = int(fields[1]) if len(fields) == 2 else 1
+            if mult < 0:
+                raise ValueError
+        except ValueError:
+            raise MalformedDegreeList(
+                f"line {lineno}: expected 'degree' or 'degree count' "
+                f"(integers, count >= 0), got {line!r}"
+            ) from None
+        counts[deg] += mult
     return from_counts(dict(counts))
 
 

@@ -43,3 +43,12 @@ class ZeroAcceptedSamples(CmlabError):
 
 class MalformedEdgeList(CmlabError):
     """An edge dump line is not two vertex ids within 1..n."""
+
+
+class MalformedDegreeList(CmlabError):
+    """A degree file line or a --degrees/--counts item is not integers."""
+
+
+class InvalidLimitParams(CmlabError):
+    """A LimitParams field is NaN, infinite where it must be finite, or out
+    of range."""

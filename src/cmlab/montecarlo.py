@@ -205,7 +205,9 @@ class EstimateReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(
+            self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False
+        ) + "\n"
 
 
 def _stat_entry(acc: _Accumulator, j: int, theory: float | None) -> dict:

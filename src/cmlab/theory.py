@@ -162,20 +162,54 @@ def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
         for lam in (lambda_cycle(k, p), lambda_line(k, p)):
             if lam == 0.0:
                 continue
-            probs = _poisson_pmf_truncated(lam)
+            probs = _poisson_pmf_truncated(lam, x_max // k)
             comp = np.zeros((len(probs) - 1) * k + 1)
             comp[::k] = probs
             dist = np.convolve(dist, comp)[: x_max + 1]
     return dist
 
 
-def _poisson_pmf_truncated(lam: float, tail: float = _PMF_COMPONENT_TAIL) -> np.ndarray:
-    probs = [math.exp(-lam)]
-    j = 0
-    while 1.0 - sum(probs) > tail:
-        j += 1
-        probs.append(probs[-1] * lam / j)
+def _poisson_pmf_truncated(
+    lam: float, max_j: int, tail: float = _PMF_COMPONENT_TAIL
+) -> np.ndarray:
+    """Poisson(lam) probabilities of 0, 1, ..., j, for the first j that
+    leaves at most `tail` of the mass out.
+
+    The recurrence p_j = p_(j-1) * lam / j runs with a left-to-right
+    running sum. It cannot finish where exp(-lam) underflows: from 0 the
+    terms stay 0, and a subnormal start loses enough precision that the
+    sum can stall short of 1 - tail. Then every term comes from log space
+    instead, and the list ends at j = max_j at the latest; the caller
+    reads no entry beyond it.
+    """
+    probs = _poisson_recurrence(lam, tail)
+    if probs is None:
+        log_lam, total, probs = math.log(lam), 0.0, []
+        for j in range(max_j + 1):
+            probs.append(math.exp(j * log_lam - lam - math.lgamma(j + 1)))
+            total += probs[-1]
+            if 1.0 - total <= tail:
+                break
     return np.array(probs)
+
+
+def _poisson_recurrence(lam: float, tail: float) -> list[float] | None:
+    """The recurrence's terms, or None if its sum never reaches 1 - tail."""
+    p = total = math.exp(-lam)
+    if p == 0.0:
+        return None
+    probs = [p]
+    j = 0
+    while 1.0 - total > tail:
+        j += 1
+        p = p * lam / j
+        # past the mode the terms shrink, so once one leaves the sum
+        # unchanged every later one does too
+        if j > lam and total + p == total:
+            return None
+        probs.append(p)
+        total += p
+    return probs
 
 
 def log_double_factorial_odd(ell: int) -> float:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -148,6 +149,93 @@ def test_counts_input(capsys):
     )
     assert code == 0
     assert json.loads(out)["n"] == 3
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize(
+    "flags,fragment",
+    [
+        (["--counts", "2:x"], "--counts: expected degree:count (integers, count >= 0), got '2:x'"),
+        (["--counts", "2"], "--counts: expected degree:count (integers, count >= 0), got '2'"),
+        (["--counts", "2:1:1"], "got '2:1:1'"),
+        (["--counts", "2:-1"], "got '2:-1'"),
+        (["--degrees", "1,x,1"], "--degrees: expected an integer degree, got 'x'"),
+    ],
+)
+def test_malformed_degree_flags_name_flag_and_item(capsys, flags, fragment):
+    code, out, err = _run(["analyze", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("2 3\nx\n", "line 2: expected 'degree' or 'degree count'"),
+        ("# c\n2 x\n", "line 2: expected"),
+        ("2 1 1\n", "line 1: expected"),
+        ("2 -1\n", "line 1: expected"),
+    ],
+)
+def test_malformed_degree_file_names_line(tmp_path, capsys, text, fragment):
+    path = tmp_path / "degs.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(["theory", "--file", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert fragment in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--nu", "nan"], "nu"),
+        (["--nu", "-1"], "nu"),
+        (["--d", "inf"], "d"),
+        (["--d", "0"], "d"),
+        (["--rho1", "-1"], "rho1"),
+        (["--rho1", "nan"], "rho1"),
+        (["--p2", "-0.1"], "p2"),
+        (["--p2", "inf"], "p2"),
+    ],
+)
+def test_theory_rejects_non_finite_or_negative_params(capsys, flags, field):
+    argv = dict(zip(["--rho1", "--p2", "--d", "--nu"], ["1", "0.3", "2.7", "2"]))
+    argv.update(zip(flags[::2], flags[1::2]))
+    code, out, err = _run(["theory", *[x for kv in argv.items() for x in kv]], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} must be")
+
+
+def test_theory_infinite_nu_is_strict_json(capsys):
+    code, out, _ = _run(["theory", "--rho1", "1", "--p2", "0.3", "--d", "2.7"], capsys)
+    assert code == 0
+    assert _strict_json(out)["p_simple"] is None
+
+
+def test_theory_large_poisson_mean_finishes():
+    """lambda_line(2) = 70^2 / 5.4 ~ 907, where exp(-lambda) underflows."""
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmlab.cli", "theory", "--rho1", "70", "--p2", "0",
+         "--d", "2.7", "--nu", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    payload = _strict_json(proc.stdout)
+    assert len(payload["complement_pmf"]) == 51
+    assert payload["p_connected"] == 0.0
 
 
 def test_validation_error_exit_code_1(capsys):

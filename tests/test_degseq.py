@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab import degseq
-from cmlab.errors import InfeasibleTargets, OddTotalDegree, ZeroOrNegativeDegree
+from cmlab.errors import (
+    InfeasibleTargets,
+    InvalidLimitParams,
+    MalformedDegreeList,
+    OddTotalDegree,
+    ZeroOrNegativeDegree,
+)
 
 
 def test_validate_tallies_counts():
@@ -122,6 +128,43 @@ def test_parse_degrees_mixed_lines():
     text = "# comment\n3\n3\n1 2\n\n2 4\n"
     s = degseq.parse_degrees(text)
     assert s.counts == {1: 2, 2: 4, 3: 2}
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [("3\nx\n", 2), ("# c\n\n2 y\n", 3), ("1 2 3\n", 1), ("2 -2\n", 1), ("1.5\n", 1)],
+)
+def test_parse_degrees_names_malformed_line(text, lineno):
+    with pytest.raises(MalformedDegreeList, match=rf"^line {lineno}: expected"):
+        degseq.parse_degrees(text)
+
+
+@pytest.mark.parametrize(
+    "field,kwargs",
+    [
+        ("rho1", {"rho1": -0.5}),
+        ("rho1", {"rho1": math.nan}),
+        ("rho1", {"rho1": math.inf}),
+        ("p2", {"p2": -1e-9}),
+        ("p2", {"p2": math.nan}),
+        ("d", {"d": 0.0}),
+        ("d", {"d": math.inf}),
+        ("d", {"d": math.nan}),
+        ("nu", {"nu": -1.0}),
+        ("nu", {"nu": -math.inf}),
+        ("nu", {"nu": math.nan}),
+    ],
+)
+def test_limit_params_reject_field(field, kwargs):
+    args = {"rho1": 1.0, "p2": 0.3, "d": 2.7, "nu": 2.0, **kwargs}
+    with pytest.raises(InvalidLimitParams, match=rf"^{field} must be"):
+        degseq.LimitParams(**args)
+
+
+def test_limit_params_accept_boundaries():
+    p = degseq.LimitParams(rho1=0.0, p2=0.0, d=1e-300, nu=math.inf)
+    assert math.isinf(p.nu)
+    assert degseq.LimitParams(0, 0, 3, 0).nu == 0
 
 
 def test_file_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from cmlab import degseq, generator, oracle, theory
 from cmlab.errors import TooLarge
+from reference_oracle import reference_law
 
 
 def test_double_factorial():
@@ -154,3 +155,85 @@ def test_json_rationals():
     assert d["p_connected"] == "2/3"
     assert d["total_matchings"] == 3
     assert d["census_expectations"]["S"] == "2/3"
+
+
+def _partitions(total, largest=None):
+    """Every multiset of degrees >= 1 summing to `total`, descending."""
+    largest = total if largest is None else largest
+    if total == 0:
+        yield []
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield [first] + rest
+
+
+SMALL_MULTISETS = [p for ell in range(2, 11, 2) for p in _partitions(ell)]
+
+
+@pytest.mark.parametrize("degrees", SMALL_MULTISETS, ids=str)
+def test_exact_law_equals_matching_walk_small(degrees):
+    """Weighted multigraphs give the very law of the matching walk, with
+    the vertices laid out in descending and in ascending degree order."""
+    for seq in (degseq.validate(degrees), degseq.validate(degrees[::-1])):
+        assert oracle.exact_law(seq) == reference_law(seq)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{1: 2, 2: 3, 3: 2}, {2: 6}, {4: 3}, {1: 4, 3: 4}],
+    ids=str,
+)
+def test_exact_law_equals_matching_walk(counts):
+    seq = degseq.from_counts(counts)
+    assert oracle.exact_law(seq) == reference_law(seq)
+
+
+@pytest.mark.parametrize(
+    "counts,graphs",
+    [({1: 2, 2: 3, 3: 2}, 1265), ({2: 7}, 2461), ({2: 2}, 2), ({3: 2}, 2)],
+    ids=str,
+)
+def test_one_census_per_multigraph(counts, graphs, monkeypatch):
+    seq = degseq.from_counts(counts)
+    found = list(oracle.enumerate_multigraphs(seq))
+    assert len(found) == graphs
+    assert len({tuple(sorted(map(tuple, seq.half_edge_owners[p].tolist())))
+                for p, _ in found}) == graphs
+    calls = []
+    census = oracle.component_census
+
+    def counting_census(g, s):
+        calls.append(g)
+        return census(g, s)
+
+    monkeypatch.setattr(oracle, "component_census", counting_census)
+    oracle.exact_law(seq)
+    assert len(calls) == graphs
+    # every pairing shares the sequence's layout, so no degree re-check
+    assert all(g.owners is seq.half_edge_owners for g in calls)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{1: 2}, {2: 2}, {3: 3, 1: 1}, {1: 2, 2: 5}, {1: 2, 2: 3, 3: 2}, {2: 7}, {4: 3},
+     {1: 4, 3: 4}, {2: 8}, {4: 4}, {1: 1, 15: 1}],
+    ids=str,
+)
+def test_multigraph_weights_sum_to_all_matchings(counts):
+    seq = degseq.from_counts(counts)
+    weights = [w for _, w in oracle.enumerate_multigraphs(seq)]
+    assert all(w >= 1 for w in weights)
+    assert sum(weights) == oracle.double_factorial_odd(seq.ell)
+
+
+def test_exact_law_cap_raises_before_any_census(monkeypatch):
+    def no_census(g, s):
+        raise AssertionError("census ran before the cap check")
+
+    monkeypatch.setattr(oracle, "component_census", no_census)
+    seq = degseq.from_counts({2: 9})  # ell = 18
+    with pytest.raises(TooLarge, match=r"ell=18 exceeds the enumeration cap 16"):
+        oracle.exact_law(seq, cap=16)
+    with pytest.raises(TooLarge):
+        oracle.enumerate_multigraphs(seq, cap=16)  # raises on the call itself

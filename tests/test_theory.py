@@ -165,6 +165,38 @@ def test_complement_pmf_values():
     assert degenerate[1:].sum() == 0.0
 
 
+def _recurrence_pmf(lam, max_terms):
+    """The pmf loop this package used before it kept a running sum: None
+    where it does not end within max_terms terms."""
+    probs = [math.exp(-lam)]
+    while 1.0 - sum(probs) > 1e-12:
+        if len(probs) == max_terms:
+            return None
+        probs.append(probs[-1] * lam / len(probs))
+    return np.array(probs)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [1e-9, 0.02, 0.185, 1.0, 3.7, 16.0, 120.5, 600.0, 708.0, 709.5, 712.0, 716.0,
+     718.5714285714286, 725.0, 733.0, 745.1, 746.0, 907.4, 5e4],
+)
+def test_poisson_pmf_same_bits_where_the_recurrence_ends(lam):
+    """Where the plain recurrence ends, the pmf is bit for bit the same;
+    where it would loop forever (exp(-lam) underflows), it still ends,
+    at max_j at the latest, with finite terms."""
+    old = _recurrence_pmf(lam, 1300)
+    new = theory._poisson_pmf_truncated(lam, 10**9)
+    if old is not None:
+        assert new.tobytes() == old.tobytes()
+    else:
+        assert np.isfinite(new).all()
+        assert new.sum() == pytest.approx(1.0, abs=1e-10)
+        short = theory._poisson_pmf_truncated(lam, 25)
+        assert len(short) == 26
+        assert short.tobytes() == new[:26].tobytes()
+
+
 def test_log_double_factorial():
     assert theory.log_double_factorial_odd(6) == pytest.approx(math.log(15), abs=1e-12)
     assert theory.log_double_factorial_odd(12) == pytest.approx(
