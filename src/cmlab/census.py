@@ -8,7 +8,19 @@ interior vertices), self-loop edges S, parallel-edge pairs M, the largest
 component, and the vertices outside it.
 
 The census reads the graph's half-edge pairing directly; no edge list is
-built. The adjacency matrix comes straight from the pairing: its row
+built. It has two paths that give the same census, chosen by vertex
+count.
+
+Up to _UNION_FIND_MAX_N = 384 vertices it runs in plain Python, with no
+numpy call per graph beyond reading the pairing, owners and degrees as
+lists. One pass over the pairs counts self-loops, counts parallel edges
+in a dict keyed on the vertex pair, and joins components by union-find;
+one pass over the vertices tallies each component's size and its
+degree-1 and degree-2 vertices. At that size a numpy or scipy call costs
+more than the work it does, and the exact oracle, whose graphs have a
+handful of vertices, runs the census once per multigraph.
+
+Above it the adjacency matrix comes straight from the pairing: its row
 pointer is the sequence's half-edge offsets, and the column of half-edge
 h is the owner of h's partner. In the critical window every vertex of
 degree >= 3 lies in the giant with high probability, and what is left is
@@ -16,13 +28,11 @@ a few lines and cycles of degree-1 and degree-2 vertices. So one
 breadth-first search from a maximum-degree vertex covers the giant in the
 usual case, and only the vertices it did not reach are labelled. The
 per-component counts run over those vertices alone; the searched
-component's counts are the sequence totals minus theirs. The giant is
-then chosen among all components by size and lowest vertex id, which is
-exact whichever component the search happened to cover.
+component's counts are the sequence totals minus theirs.
 
-Up to _UNION_FIND_MAX_N = 256 vertices a plain union-find over the same
-pairs labels every vertex instead: there scipy's fixed cost per call
-dominates (the exact oracle runs at that size).
+Either way the giant is chosen among all components by size and lowest
+vertex id, which is exact whichever component the search happened to
+cover.
 """
 
 from __future__ import annotations
@@ -38,32 +48,10 @@ from .degseq import DegreeSequence
 from .errors import DegreeMismatch
 from .generator import Multigraph, Seed, _as_generator
 
-# Up to this vertex count a plain union-find beats scipy's set-up cost;
-# both paths produce identical censuses.
-_UNION_FIND_MAX_N = 256
-
-
-def _labels_union_find(n: int, a: list[int], b: list[int]) -> list[int]:
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for u, v in zip(a, b):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-    return [find(v) for v in range(n)]
+# Up to this vertex count the plain-Python census is faster than the
+# search path; on sampled window graphs (rho1 = 1, p2 = 0.3, bulk 3) the
+# two cross between n = 384 and 416 (BENCH_micro_census.json).
+_UNION_FIND_MAX_N = 384
 
 
 def _tally(vertices: np.ndarray, labels: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -179,16 +167,88 @@ def component_census(g: Multigraph, degrees: DegreeSequence) -> ComponentCensus:
     """
     if g.owners is not degrees.half_edge_owners:
         _check_degrees(g, degrees)
-    n = degrees.n
-    ends = degrees.half_edge_owners[g.pairing]
-    a, b = ends[:, 0], ends[:, 1]
-    if n <= _UNION_FIND_MAX_N:
-        roots = _labels_union_find(n, a.tolist(), b.tolist())
-        table = _tally(np.arange(n), np.array(roots), degrees.degrees)
-    else:
-        table = _tally_search(degrees, g.pairing, ends)
+    if degrees.n <= _UNION_FIND_MAX_N:
+        return _census_union_find(degrees, g.pairing)
+    return _census_search(degrees, g.pairing)
 
-    sizes, n1, n2, n3, lowest = table
+
+def _census_union_find(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
+    """The census in plain Python: one pass over the pairs, one over the
+    vertices, and no numpy call beyond reading three arrays as lists."""
+    n = seq.n
+    owner = seq.half_edge_owners.tolist()
+    deg = seq.degrees.tolist()
+    # a root is always the lowest vertex of its tree, and parent[v] <= v
+    parent = list(range(n))
+    self_loops = multi_edges = 0
+    edges_seen: dict[int, int] = {}
+    for h1, h2 in pairing.tolist():
+        u, v = owner[h1], owner[h2]
+        if u == v:
+            self_loops += 1
+            continue
+        key = u * n + v if u < v else v * n + u
+        m = edges_seen.get(key, 0)
+        # the (m+1)-th u-v edge pairs with the m before it: C(m, 2) in all
+        multi_edges += m
+        edges_seen[key] = m + 1
+        while parent[u] != u:  # find, halving the path
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+
+    # ascending, parent[v]'s root is known before v is reached
+    size = [0] * n
+    ones = [0] * n
+    twos = [0] * n
+    roots = []
+    for v in range(n):
+        r = parent[v] = parent[parent[v]]
+        if r == v:
+            roots.append(v)
+        size[r] += 1
+        d = deg[v]
+        if d == 1:
+            ones[r] += 1
+        elif d == 2:
+            twos[r] += 1
+
+    giant = max(roots, key=size.__getitem__)  # the first maximum: lowest vertex
+    cycle_counts: dict[int, int] = {}
+    line_counts: dict[int, int] = {}
+    other = 0
+    for r in roots:
+        s = size[r]
+        if twos[r] == s:
+            cycle_counts[s] = cycle_counts.get(s, 0) + 1
+        elif ones[r] == 2 and twos[r] == s - 2:
+            line_counts[s] = line_counts.get(s, 0) + 1
+        elif r != giant:
+            other += s
+    giant_size = size[giant]
+    return ComponentCensus(
+        n=n,
+        cycle_counts=cycle_counts,
+        line_counts=line_counts,
+        self_loops=self_loops,
+        multi_edges=multi_edges,
+        giant_size=giant_size,
+        complement=n - giant_size,
+        other_outside_giant=other,
+        deg3_outside_giant=(n - seq.n1 - seq.n2) - (giant_size - ones[giant] - twos[giant]),
+    )
+
+
+def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
+    """The census from one search and labels for the rest, in numpy."""
+    n = seq.n
+    ends = seq.half_edge_owners[pairing]
+    a, b = ends[:, 0], ends[:, 1]
+    sizes, n1, n2, n3, lowest = _tally_search(seq, pairing, ends)
     is_cycle = n2 == sizes
     is_line = (n1 == 2) & (n2 == sizes - 2)
     biggest = np.flatnonzero(sizes == sizes.max())

@@ -93,8 +93,10 @@ class LimitParams:
 
     rho1 and p2 must be finite and >= 0, d finite and > 0, and nu >= 0
     or math.inf; anything else (NaN included) raises InvalidLimitParams
-    naming the field. Series-based formulas additionally require
-    2*p2 < d, which is enforced at the evaluation sites in `theory`.
+    naming the field. The formulas square rho1 and nu, so the line-mean
+    scale rho1^2 / (2d) and a finite nu's square must be finite floats
+    too. Series-based formulas additionally require 2*p2 < d, which is
+    enforced at the evaluation sites in `theory`.
     """
 
     rho1: float
@@ -109,8 +111,17 @@ class LimitParams:
                 raise InvalidLimitParams(f"{name} must be finite and >= 0, got {value}")
         if not (math.isfinite(self.d) and self.d > 0):
             raise InvalidLimitParams(f"d must be finite and > 0, got {self.d}")
+        if not math.isfinite(self.rho1 * self.rho1 / (2 * self.d)):
+            raise InvalidLimitParams(
+                f"rho1 must be small enough that rho1^2 / (2d) is a finite "
+                f"float, got rho1 = {self.rho1} with d = {self.d}"
+            )
         if not self.nu >= 0:  # false for NaN too
             raise InvalidLimitParams(f"nu must be >= 0 or inf, got {self.nu}")
+        if not (math.isfinite(self.nu * self.nu) or self.nu == math.inf):
+            raise InvalidLimitParams(
+                f"nu must be inf or have a finite square, got {self.nu}"
+            )
 
 
 def validate(raw_degrees) -> DegreeSequence:
@@ -162,6 +173,19 @@ def window_params(seq: DegreeSequence) -> WindowParams:
     )
 
 
+def check_build_targets(n: int, rho1: float, p2: float, bulk_degree: int) -> None:
+    """Raise InfeasibleTargets, naming the field, unless n >= 1, rho1 is
+    finite and >= 0, 0 <= p2 < 1 and bulk_degree >= 3 (NaN fails)."""
+    if not n >= 1:
+        raise InfeasibleTargets(f"n must be >= 1, got {n}")
+    if not (math.isfinite(rho1) and rho1 >= 0):
+        raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {rho1}")
+    if not 0 <= p2 < 1:
+        raise InfeasibleTargets(f"p2 must be in [0, 1), got {p2}")
+    if not bulk_degree >= 3:
+        raise InfeasibleTargets(f"bulk_degree must be >= 3, got {bulk_degree}")
+
+
 def build_sequence(
     n: int, rho1: float, p2: float, bulk_degree: int = 3
 ) -> DegreeSequence:
@@ -170,16 +194,12 @@ def build_sequence(
 
     If the total degree comes out odd, exactly one bulk vertex gets its
     degree incremented by 1; the repair is visible in the result's counts
-    and perturbs every window ratio by o(1). Raises InfeasibleTargets when
-    the rounded counts exceed n, or when parity cannot be repaired because
-    no bulk vertex exists.
+    and perturbs every window ratio by o(1). Raises InfeasibleTargets for
+    a field out of range (see check_build_targets), when the rounded
+    counts exceed n, or when parity cannot be repaired because no bulk
+    vertex exists.
     """
-    if n < 1:
-        raise InfeasibleTargets(f"need n >= 1, got {n}")
-    if rho1 < 0 or not 0 <= p2 < 1:
-        raise InfeasibleTargets(f"need rho1 >= 0 and 0 <= p2 < 1, got {rho1}, {p2}")
-    if bulk_degree < 3:
-        raise InfeasibleTargets(f"bulk_degree must be >= 3, got {bulk_degree}")
+    check_build_targets(n, rho1, p2, bulk_degree)
     n1 = round(rho1 * math.sqrt(n))
     n2 = round(p2 * n)
     if n1 + n2 > n:

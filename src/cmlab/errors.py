@@ -52,3 +52,9 @@ class MalformedDegreeList(CmlabError):
 class InvalidLimitParams(CmlabError):
     """A LimitParams field is NaN, infinite where it must be finite, or out
     of range."""
+
+
+class InvalidConfig(CmlabError, ValueError):
+    """An ExperimentConfig field is out of range, or the config does not
+    name exactly one of seq and targets. A ValueError too, as these were
+    before they had their own type."""

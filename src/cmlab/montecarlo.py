@@ -22,10 +22,11 @@ from .degseq import (
     DegreeSequence,
     LimitParams,
     build_sequence,
+    check_build_targets,
     to_limit_params,
     window_params,
 )
-from .errors import CmlabError, SeriesDivergence, ZeroAcceptedSamples
+from .errors import CmlabError, InvalidConfig, SeriesDivergence, ZeroAcceptedSamples
 from .generator import Seed, sample
 from .theory import (
     Prediction,
@@ -42,12 +43,19 @@ _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
 @dataclass(frozen=True)
 class BuildTargets:
-    """build_sequence arguments carried by a config (file-less source)."""
+    """build_sequence arguments carried by a config (file-less source).
+
+    Each field is checked on construction, as build_sequence checks it;
+    a bad one raises InfeasibleTargets naming it.
+    """
 
     n: int
     rho1: float
     p2: float
     bulk_degree: int = 3
+
+    def __post_init__(self):
+        check_build_targets(self.n, self.rho1, self.p2, self.bulk_degree)
 
     def limit_params(self) -> LimitParams:
         """The n -> infinity window parameters of the built family.
@@ -66,7 +74,8 @@ class ExperimentConfig:
     """Everything a run needs; exactly one of seq/targets must be set.
 
     `threads` caps worker parallelism without affecting any reported
-    value, so it is not part of the report's config echo.
+    value, so it is not part of the report's config echo. The fields are
+    checked on construction: a bad one raises InvalidConfig naming it.
     """
 
     seq: DegreeSequence | None = None
@@ -82,9 +91,20 @@ class ExperimentConfig:
     threads: int = 1
     source: str | None = None
 
-    def resolve_sequence(self) -> DegreeSequence:
+    def __post_init__(self):
         if (self.seq is None) == (self.targets is None):
-            raise ValueError("config needs exactly one of seq or targets")
+            raise InvalidConfig("config needs exactly one of seq or targets")
+        if not 0 <= self.master_seed < 2**64:
+            raise InvalidConfig(
+                f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
+            )
+        for name, low in (("replicates", 1), ("x_max", 0), ("trunc_k", 1),
+                          ("max_k", 1), ("threads", 1)):
+            value = getattr(self, name)
+            if not value >= low:
+                raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+
+    def resolve_sequence(self) -> DegreeSequence:
         if self.seq is not None:
             return self.seq
         t = self.targets
@@ -225,8 +245,6 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     set; the report carries the acceptance rate. Raises ZeroAcceptedSamples
     if conditioning rejects every replicate.
     """
-    if cfg.replicates < 1:
-        raise ValueError("replicates must be >= 1")
     seq = cfg.resolve_sequence()
     r = cfg.replicates
 
@@ -391,8 +409,8 @@ def sweep(template: ExperimentConfig, n_values: list[int]) -> str:
 
     lines = [SWEEP_HEADER]
     for n in n_values:
-        cfg = replace(template, targets=replace(template.targets, n=n))
         try:
+            cfg = replace(template, targets=replace(template.targets, n=n))
             report = run_experiment(cfg)
         except CmlabError as exc:
             lines.append(f"{n},error:{type(exc).__name__},,,,")

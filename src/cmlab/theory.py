@@ -156,6 +156,8 @@ def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
     _require_series(p)
     if x_max < 0:
         raise ValueError("x_max must be >= 0")
+    if trunc_k < 1:
+        raise ValueError(f"trunc_k must be >= 1, got {trunc_k}")
     dist = np.zeros(x_max + 1)
     dist[0] = 1.0
     for k in range(1, trunc_k + 1):

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from cmlab import census, degseq, generator
+from cmlab import census, degseq, generator, oracle
 from cmlab.errors import DegreeMismatch
 
 from reference_census import reference_census, reference_labels
 from test_degseq import degree_sequences
+from test_oracle import SMALL_MULTISETS
 
 
 def _graph(n, rows):
@@ -124,8 +125,8 @@ def test_census_json_field_names():
 
 
 def test_union_find_and_scipy_paths_agree(monkeypatch):
-    """The small-n union-find and the search-then-label path give the same
-    census on the same graphs, whichever side of the switch n falls."""
+    """The plain-Python union-find and the search-then-label path give the
+    same census on the same graphs, whichever side of the switch n falls."""
     rng = np.random.default_rng(99)
     graphs = []
     for _ in range(60):
@@ -144,7 +145,7 @@ def test_union_find_and_scipy_paths_agree(monkeypatch):
 @st.composite
 def census_inputs(draw):
     """A shuffled degree sequence of up to 750 vertices, either side of the
-    union-find switch at 256, and a sampling seed."""
+    union-find switch at 384, and a sampling seed."""
     counts = draw(st.dictionaries(st.integers(1, 5), st.integers(1, 150), min_size=1))
     degs = [d for d, m in sorted(counts.items()) for _ in range(m)]
     if sum(degs) % 2:
@@ -166,8 +167,9 @@ def _cycle(vertices):
     return [(u, v) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
 
 
-# hand-made graphs on 300 vertices (the search path) that a sampled graph
-# rarely shows: (degrees, 0-based edges, census fields they must give)
+# hand-made graphs on 300 vertices that a sampled graph rarely shows:
+# (degrees, 0-based edges, census fields they must give); each runs
+# through both census paths
 _BIG_CASES = {
     # the maximum-degree vertices 0 and 1 form a 4-fold edge; the giant is
     # the 298-cycle the search did not reach
@@ -213,13 +215,31 @@ _BIG_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(_BIG_CASES))
-def test_census_equals_reference_on_hand_made_graphs(name):
+def test_census_equals_reference_on_hand_made_graphs(name, monkeypatch):
     raw, rows, expected = _BIG_CASES[name]
     s = degseq.validate(raw)
     g = _graph(s.n, rows)
-    c = census.component_census(g, s)
-    assert c == reference_census(g, s)
-    assert {field: getattr(c, field) for field in expected} == expected
+    for switch in (0, 10**9):  # the search path, then the union-find
+        monkeypatch.setattr(census, "_UNION_FIND_MAX_N", switch)
+        c = census.component_census(g, s)
+        assert c == reference_census(g, s)
+        assert {field: getattr(c, field) for field in expected} == expected
+
+
+def test_census_paths_agree_on_every_small_multigraph(monkeypatch):
+    """Every multigraph of every degree multiset with ell <= 10: the
+    union-find census equals the search-path census and the reference."""
+    graphs = []
+    for degrees in SMALL_MULTISETS:
+        s = degseq.validate(degrees)
+        graphs += [(s, generator.Multigraph(n=s.n, owners=s.half_edge_owners, pairing=p))
+                   for p, _ in oracle.enumerate_multigraphs(s)]
+    results = []
+    for switch in (10**9, 0):
+        monkeypatch.setattr(census, "_UNION_FIND_MAX_N", switch)
+        results.append([census.component_census(g, s) for s, g in graphs])
+    assert results[0] == results[1]
+    assert results[0] == [reference_census(g, s) for s, g in graphs]
 
 
 @pytest.mark.parametrize("counts", [{1: 40}, {1: 400}, {2: 40}, {2: 400}])

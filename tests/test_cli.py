@@ -206,6 +206,10 @@ def test_malformed_degree_file_names_line(tmp_path, capsys, text, fragment):
         (["--rho1", "nan"], "rho1"),
         (["--p2", "-0.1"], "p2"),
         (["--p2", "inf"], "p2"),
+        # finite, but rho1^2 and nu^2 overflow a float
+        (["--rho1", "1e200"], "rho1"),
+        (["--nu", "1e200"], "nu"),
+        (["--d", "1e-320"], "rho1"),
     ],
 )
 def test_theory_rejects_non_finite_or_negative_params(capsys, flags, field):
@@ -236,6 +240,26 @@ def test_theory_large_poisson_mean_finishes():
     payload = _strict_json(proc.stdout)
     assert len(payload["complement_pmf"]) == 51
     assert payload["p_connected"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--counts", "2:4", "--x-max", "-2"], "x_max"),
+        (["--counts", "2:4", "--threads", "0"], "threads"),
+        (["--counts", "2:4", "--trunc-k", "-5"], "trunc_k"),
+        (["--counts", "2:4", "--replicates", "0"], "replicates"),
+        (["--counts", "2:4", "--seed", "-1"], "master_seed"),
+        (["--n", "100", "--rho1", "nan", "--p2", "0.3"], "rho1"),
+        (["--n", "100", "--rho1", "1", "--p2", "nan"], "p2"),
+        (["--n", "0", "--rho1", "1", "--p2", "0.3"], "n"),
+    ],
+)
+def test_simulate_rejects_bad_config_field(capsys, flags, field):
+    code, out, err = _run(["simulate", "--replicates", "3", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} must be")
 
 
 def test_validation_error_exit_code_1(capsys):

@@ -153,6 +153,9 @@ def test_parse_degrees_names_malformed_line(text, lineno):
         ("nu", {"nu": -1.0}),
         ("nu", {"nu": -math.inf}),
         ("nu", {"nu": math.nan}),
+        ("rho1", {"rho1": 1e200}),
+        ("rho1", {"d": 1e-320}),
+        ("nu", {"nu": 1e200}),
     ],
 )
 def test_limit_params_reject_field(field, kwargs):
@@ -165,6 +168,7 @@ def test_limit_params_accept_boundaries():
     p = degseq.LimitParams(rho1=0.0, p2=0.0, d=1e-300, nu=math.inf)
     assert math.isinf(p.nu)
     assert degseq.LimitParams(0, 0, 3, 0).nu == 0
+    assert degseq.LimitParams(rho1=1e150, p2=0.3, d=2.7, nu=1e150).nu == 1e150
 
 
 def test_file_round_trip(tmp_path):

@@ -7,7 +7,7 @@ import statistics
 import pytest
 
 from cmlab import census, degseq, generator, montecarlo
-from cmlab.errors import ZeroAcceptedSamples
+from cmlab.errors import InfeasibleTargets, InvalidConfig, ZeroAcceptedSamples
 
 
 def _cfg(**kw):
@@ -134,6 +134,50 @@ def test_config_requires_one_source():
             seq=degseq.validate([1, 1]),
             targets=montecarlo.BuildTargets(n=10, rho1=0, p2=0),
         ).resolve_sequence()
+
+
+@pytest.mark.parametrize(
+    "field,kwargs",
+    [
+        ("replicates", {"replicates": 0}),
+        ("x_max", {"x_max": -2}),
+        ("trunc_k", {"trunc_k": -5}),
+        ("max_k", {"max_k": 0}),
+        ("threads", {"threads": 0}),
+        ("master_seed", {"master_seed": -1}),
+        ("master_seed", {"master_seed": 2**64}),
+    ],
+)
+def test_config_rejects_bad_field(field, kwargs):
+    with pytest.raises(InvalidConfig, match=rf"^{field} must be") as exc:
+        _cfg(seq=degseq.validate([2, 2]), **kwargs)
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "field,kwargs",
+    [
+        ("n", {"n": 0}),
+        ("rho1", {"rho1": math.nan}),
+        ("rho1", {"rho1": -1.0}),
+        ("rho1", {"rho1": math.inf}),
+        ("p2", {"p2": math.nan}),
+        ("p2", {"p2": 1.0}),
+        ("bulk_degree", {"bulk_degree": 2}),
+    ],
+)
+def test_build_targets_reject_bad_field(field, kwargs):
+    args = {"n": 100, "rho1": 1.0, "p2": 0.3, **kwargs}
+    with pytest.raises(InfeasibleTargets, match=rf"^{field} must be"):
+        montecarlo.BuildTargets(**args)
+
+
+def test_sweep_infeasible_n_row_surfaced():
+    template = _cfg(targets=montecarlo.BuildTargets(n=1, rho1=1.0, p2=0.3), replicates=5)
+    rows = _sweep_rows(montecarlo.sweep(template, [0, 50]))
+    assert rows[0]["n"] == "0"
+    assert rows[0]["stat"] == "error:InfeasibleTargets"
+    assert {r["n"] for r in rows[1:]} == {"50"}
 
 
 def test_build_targets_limit_params():

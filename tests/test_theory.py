@@ -165,6 +165,13 @@ def test_complement_pmf_values():
     assert degenerate[1:].sum() == 0.0
 
 
+@pytest.mark.parametrize("x_max,trunc_k,field", [(-1, 60, "x_max"), (50, 0, "trunc_k"),
+                                                 (50, -5, "trunc_k")])
+def test_complement_pmf_rejects_bad_range(x_max, trunc_k, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be >= "):
+        theory.complement_pmf(P, x_max=x_max, trunc_k=trunc_k)
+
+
 def _recurrence_pmf(lam, max_terms):
     """The pmf loop this package used before it kept a running sum: None
     where it does not end within max_terms terms."""
