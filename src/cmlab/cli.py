@@ -25,9 +25,22 @@ def _add_degree_source(parser: argparse.ArgumentParser, with_build: bool = False
     group.add_argument("--file", help="degree-sequence file")
     if with_build:
         group.add_argument("--n", type=int, help="build: vertex count")
-        group.add_argument("--rho1", type=float, default=0.0, help="build: n1/sqrt(n) target")
-        group.add_argument("--p2", type=float, default=0.0, help="build: n2/n target")
-        group.add_argument("--bulk", type=int, default=3, help="build: bulk degree (>= 3)")
+        _add_build_targets(group)
+
+
+def _add_build_targets(group) -> None:
+    group.add_argument("--rho1", type=float, default=0.0, help="build: n1/sqrt(n) target")
+    group.add_argument("--p2", type=float, default=0.0, help="build: n2/n target")
+    group.add_argument("--bulk", type=int, default=3, help="build: bulk degree (>= 3)")
+
+
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--replicates", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--condition-on-simple", action="store_true")
+    parser.add_argument("--x-max", type=int, default=50)
+    parser.add_argument("--trunc-k", type=int, default=60)
+    parser.add_argument("--threads", type=int, default=1)
 
 
 def _degree_list(text: str) -> list[int]:
@@ -131,62 +144,60 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _experiment_config(args, **source) -> montecarlo.ExperimentConfig:
+    """The config of simulate and sweep: the run options plus a source
+    (seq or targets, and the echoed source label)."""
+    return montecarlo.ExperimentConfig(
+        replicates=args.replicates,
+        master_seed=args.seed,
+        condition_on_simple=args.condition_on_simple,
+        x_max=args.x_max,
+        trunc_k=args.trunc_k,
+        threads=args.threads,
+        **source,
+    )
+
+
+def _build_targets(args, n: int) -> montecarlo.BuildTargets:
+    return montecarlo.BuildTargets(n=n, rho1=args.rho1, p2=args.p2, bulk_degree=args.bulk)
+
+
 def _cmd_simulate(args) -> int:
-    cfg = _experiment_config(args)
+    if args.n is None:
+        cfg = _experiment_config(args, seq=_resolve_sequence(args),
+                                 source=args.file or "inline")
+    elif any(v is not None for v in (args.degrees, args.counts, args.file)):
+        raise CmlabError("give either --n build targets or a degree source")
+    else:
+        cfg = _experiment_config(
+            args, targets=_build_targets(args, args.n),
+            source=f"build(n={args.n}, rho1={args.rho1}, p2={args.p2}, bulk={args.bulk})",
+        )
     report = montecarlo.run_experiment(cfg)
     _emit(report.to_json(), args.out)
     return 0
 
 
+def _n_values(text: str) -> list[int]:
+    """--n-values: comma-separated integer vertex counts."""
+    values = []
+    for item in text.split(","):
+        if not item:
+            continue
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise CmlabError(
+                f"--n-values: expected an integer vertex count, got {item!r}"
+            ) from None
+    return values
+
+
 def _cmd_sweep(args) -> int:
-    if args.n is not None:
-        raise CmlabError("sweep derives --n from --n-values; do not pass --n")
-    targets = montecarlo.BuildTargets(
-        n=1, rho1=args.rho1, p2=args.p2, bulk_degree=args.bulk
-    )
-    template = montecarlo.ExperimentConfig(
-        targets=targets,
-        replicates=args.replicates,
-        master_seed=args.seed,
-        condition_on_simple=args.condition_on_simple,
-        x_max=args.x_max,
-        trunc_k=args.trunc_k,
-        threads=args.threads,
-    )
-    n_values = [int(f) for f in args.n_values.split(",") if f]
-    table = montecarlo.sweep(template, n_values)
+    template = _experiment_config(args, targets=_build_targets(args, 1))
+    table = montecarlo.sweep(template, _n_values(args.n_values))
     _emit(table, args.csv)
     return 0
-
-
-def _experiment_config(args) -> montecarlo.ExperimentConfig:
-    if args.n is not None:
-        if any(v is not None for v in (args.degrees, args.counts, args.file)):
-            raise CmlabError("give either --n build targets or a degree source")
-        targets = montecarlo.BuildTargets(
-            n=args.n, rho1=args.rho1, p2=args.p2, bulk_degree=args.bulk
-        )
-        return montecarlo.ExperimentConfig(
-            targets=targets,
-            replicates=args.replicates,
-            master_seed=args.seed,
-            condition_on_simple=args.condition_on_simple,
-            x_max=args.x_max,
-            trunc_k=args.trunc_k,
-            threads=args.threads,
-            source=f"build(n={args.n}, rho1={args.rho1}, p2={args.p2}, bulk={args.bulk})",
-        )
-    seq = _resolve_sequence(args)
-    return montecarlo.ExperimentConfig(
-        seq=seq,
-        replicates=args.replicates,
-        master_seed=args.seed,
-        condition_on_simple=args.condition_on_simple,
-        x_max=args.x_max,
-        trunc_k=args.trunc_k,
-        threads=args.threads,
-        source=args.file or "inline",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,24 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo experiment report")
     _add_degree_source(p, with_build=True)
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--condition-on-simple", action="store_true")
-    p.add_argument("--x-max", type=int, default=50)
-    p.add_argument("--trunc-k", type=int, default=60)
-    p.add_argument("--threads", type=int, default=1)
+    _add_run_options(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="convergence-in-n CSV table")
-    _add_degree_source(p, with_build=True)
+    # no abbreviations: --n would otherwise be read as --n-values
+    p = sub.add_parser("sweep", help="convergence-in-n CSV table", allow_abbrev=False)
+    _add_build_targets(p.add_argument_group("build targets"))
     p.add_argument("--n-values", required=True, help="ascending list, e.g. 100,1000,10000")
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--condition-on-simple", action="store_true")
-    p.add_argument("--x-max", type=int, default=50)
-    p.add_argument("--trunc-k", type=int, default=60)
-    p.add_argument("--threads", type=int, default=1)
+    _add_run_options(p)
     p.add_argument("--csv", help="write the table to this path")
     p.set_defaults(func=_cmd_sweep)
 

@@ -10,6 +10,7 @@ and builds parametrized sequences for experiments.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -93,9 +94,12 @@ class LimitParams:
 
     rho1 and p2 must be finite and >= 0, d finite and > 0, and nu >= 0
     or math.inf; anything else (NaN included) raises InvalidLimitParams
-    naming the field. The formulas square rho1 and nu, so the line-mean
-    scale rho1^2 / (2d) and a finite nu's square must be finite floats
-    too. Series-based formulas additionally require 2*p2 < d, which is
+    naming the field. The formulas square rho1, d and nu, so the
+    line-mean scale rho1^2 / (2d) and a finite nu's square must be finite
+    floats, and d^2 a finite normal one (it divides). Where 2*p2 < d,
+    rho1^2 * 2d and twice the line mass rho1^2 (d - p2) / (d - 2*p2)^2,
+    which bounds the complement formulas, must be finite too.
+    Series-based formulas additionally require 2*p2 < d, which is
     enforced at the evaluation sites in `theory`.
     """
 
@@ -116,6 +120,20 @@ class LimitParams:
                 f"rho1 must be small enough that rho1^2 / (2d) is a finite "
                 f"float, got rho1 = {self.rho1} with d = {self.d}"
             )
+        if not sys.float_info.min <= self.d * self.d < math.inf:
+            raise InvalidLimitParams(
+                f"d must be about 1.5e-154 to 1.3e154, so that d^2 is a finite "
+                f"normal float, got {self.d}"
+            )
+        gap = self.d - 2 * self.p2
+        if gap > 0:
+            line_mass = self.rho1 * self.rho1 * (self.d - self.p2) / gap / gap
+            if not math.isfinite(self.rho1 * self.rho1 * 2 * self.d + 2 * line_mass):
+                raise InvalidLimitParams(
+                    f"rho1 must be small enough that rho1^2 * 2d and twice the "
+                    f"line mass rho1^2 (d - p2) / (d - 2*p2)^2 are finite floats, "
+                    f"got rho1 = {self.rho1} with d = {self.d}, p2 = {self.p2}"
+                )
         if not self.nu >= 0:  # false for NaN too
             raise InvalidLimitParams(f"nu must be >= 0 or inf, got {self.nu}")
         if not (math.isfinite(self.nu * self.nu) or self.nu == math.inf):

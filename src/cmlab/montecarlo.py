@@ -1,11 +1,14 @@
 """Reproducible multi-replicate experiments against theory predictions.
 
 Replicate i draws its graph from Seed(master_seed, i), so results are a
-pure function of the configuration: the same config gives byte-identical
-JSON reports on any machine and under any degree of parallelism (workers
-only compute per-replicate vectors; aggregation always runs in replicate
-order). Accumulators are fixed-size, so memory does not grow with the
-replicate count.
+pure function of the configuration. Every reported statistic is one entry
+of an ordered table (`_stats`): its name, the integer it reads from each
+replicate's census, and its theory value. The replicates are split into
+at most `threads` contiguous ranges; each range adds its integers into its
+own fixed-size accumulator, and the accumulators are merged by integer
+addition. Integer addition is exact, so the same config gives
+byte-identical JSON reports on any machine and for any thread count, and
+memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial, reduce
+from typing import Callable
 
-import numpy as np
-
-from .census import component_census
+from .census import ComponentCensus, component_census, is_connected, is_simple
 from .degseq import (
     DegreeSequence,
     LimitParams,
@@ -83,8 +86,6 @@ class ExperimentConfig:
     replicates: int = 1000
     master_seed: int = 0
     condition_on_simple: bool = False
-    collect_components: bool = True
-    collect_simplicity: bool = True
     x_max: int = 50
     trunc_k: int = 60
     max_k: int = 10
@@ -111,60 +112,114 @@ class ExperimentConfig:
         return build_sequence(t.n, t.rho1, t.p2, t.bulk_degree)
 
 
-# per-replicate integer vector layout
-_CONN, _SIMPLE, _BOTH, _S, _M, _COMP, _DEG3, _OTHER, _GIANT = range(9)
-_FIXED = 9
+@dataclass(frozen=True)
+class _Stat:
+    """One reported statistic.
+
+    `value` reads its per-replicate integer from a census; `theory` gives
+    its limit at parameters p for n vertices, or None where the formula
+    does not apply. A theory that needs the limit series (2*p2 < d) is
+    null when the series diverges; `in_sweep` marks the sweep's rows.
+    """
+
+    name: str
+    value: Callable[[ComponentCensus], int]
+    theory: Callable[[LimitParams, int], float | None]
+    needs_series: bool = True
+    in_sweep: bool = False
 
 
-def _vector_length(max_k: int) -> int:
-    # cycles k=1..max_k plus overflow, lines k=2..max_k plus overflow
-    return _FIXED + (max_k + 1) + max_k
+def _if_nu_finite(fn: Callable[[LimitParams], float]):
+    return lambda p, n: None if math.isinf(p.nu) else fn(p)
 
 
-def _replicate_vector(
-    seq: DegreeSequence, master: int, stream: int, max_k: int
-) -> np.ndarray:
-    g = sample(seq, Seed(master, stream))
-    c = component_census(g, seq)
-    vec = np.zeros(_vector_length(max_k), dtype=np.int64)
-    connected = c.complement == 0
-    simple = c.self_loops == 0 and c.multi_edges == 0
-    vec[_CONN] = connected
-    vec[_SIMPLE] = simple
-    vec[_BOTH] = connected and simple
-    vec[_S] = c.self_loops
-    vec[_M] = c.multi_edges
-    vec[_COMP] = c.complement
-    vec[_DEG3] = c.deg3_outside_giant
-    vec[_OTHER] = c.other_outside_giant
-    vec[_GIANT] = c.giant_size
-    cyc0 = _FIXED
-    lin0 = _FIXED + max_k + 1
-    for k, cnt in c.cycle_counts.items():
-        vec[cyc0 + k - 1 if k <= max_k else cyc0 + max_k] += cnt
-    for k, cnt in c.line_counts.items():
-        vec[lin0 + k - 2 if k <= max_k else lin0 + max_k - 1] += cnt
-    return vec
+def _overflow(counts: dict[int, int], max_k: int) -> int:
+    return sum(cnt for k, cnt in counts.items() if k > max_k)
+
+
+def _lambda_tail(p: LimitParams, max_k: int, fn) -> float:
+    """Poisson-mean mass folded into the k > max_k overflow bucket."""
+    total = 0.0
+    for k in range(max_k + 1, max_k + 400):
+        term = fn(k, p)
+        total += term
+        if term < 1e-15:
+            break
+    return total
+
+
+def _stats(max_k: int) -> tuple[_Stat, ...]:
+    """The ordered table of statistics, with cycle and line buckets
+    k <= max_k and one overflow bucket each."""
+    cycles = [
+        _Stat(f"C{k}", lambda c, k=k: c.cycle_counts.get(k, 0),
+              lambda p, n, k=k: lambda_cycle(k, p), in_sweep=k <= 2)
+        for k in range(1, max_k + 1)
+    ]
+    lines = [
+        _Stat(f"L{k}", lambda c, k=k: c.line_counts.get(k, 0),
+              lambda p, n, k=k: lambda_line(k, p), in_sweep=k <= 3)
+        for k in range(2, max_k + 1)
+    ]
+    return (
+        _Stat("connected", is_connected, lambda p, n: p_connected(p), in_sweep=True),
+        _Stat("simple", is_simple, _if_nu_finite(p_simple), in_sweep=True),
+        _Stat("S", lambda c: c.self_loops, _if_nu_finite(lambda p: p.nu / 2),
+              needs_series=False, in_sweep=True),
+        _Stat("M", lambda c: c.multi_edges, _if_nu_finite(lambda p: p.nu**2 / 4),
+              needs_series=False, in_sweep=True),
+        _Stat("complement", lambda c: c.complement,
+              lambda p, n: expected_complement(p), in_sweep=True),
+        _Stat("deg3_outside_giant", lambda c: c.deg3_outside_giant,
+              lambda p, n: 0.0, needs_series=False, in_sweep=True),
+        _Stat("other_outside_giant", lambda c: c.other_outside_giant,
+              lambda p, n: 0.0, needs_series=False),
+        _Stat("giant_size", lambda c: c.giant_size,
+              lambda p, n: n - expected_complement(p)),
+        *cycles,
+        _Stat(f"C_gt{max_k}", lambda c: _overflow(c.cycle_counts, max_k),
+              lambda p, n: _lambda_tail(p, max_k, lambda_cycle)),
+        *lines,
+        _Stat(f"L_gt{max_k}", lambda c: _overflow(c.line_counts, max_k),
+              lambda p, n: _lambda_tail(p, max_k, lambda_line)),
+    )
 
 
 class _Accumulator:
-    """Fixed-size streaming moments: exact integer sums per statistic plus
-    a bounded complement histogram; memory independent of replicate count."""
+    """Fixed-size streaming moments: exact integer sums per statistic, the
+    connected-and-simple count and a bounded complement histogram; memory
+    independent of replicate count."""
 
-    def __init__(self, length: int, x_max: int):
+    def __init__(self, stats: tuple[_Stat, ...], x_max: int):
+        self.stats = stats
         self.count = 0
-        self.sums = [0] * length
-        self.sumsqs = [0] * length
+        self.sums = [0] * len(stats)
+        self.sumsqs = [0] * len(stats)
+        self.connected_simple = 0
         self.histogram = [0] * (x_max + 2)
         self.x_max = x_max
 
-    def add(self, vec: np.ndarray) -> None:
+    def add(self, c: ComponentCensus) -> None:
+        """Add one replicate's row: each statistic's integer, in table order."""
         self.count += 1
-        for j, v in enumerate(vec.tolist()):
+        for j, s in enumerate(self.stats):
+            v = int(s.value(c))
             self.sums[j] += v
             self.sumsqs[j] += v * v
-        comp = int(vec[_COMP])
-        self.histogram[comp if comp <= self.x_max else self.x_max + 1] += 1
+        self.connected_simple += is_connected(c) and is_simple(c)
+        self.histogram[min(c.complement, self.x_max + 1)] += 1
+
+    def merge(self, other: _Accumulator) -> _Accumulator:
+        self.count += other.count
+        self.connected_simple += other.connected_simple
+        for mine, theirs in ((self.sums, other.sums), (self.sumsqs, other.sumsqs),
+                             (self.histogram, other.histogram)):
+            for j, v in enumerate(theirs):
+                mine[j] += v
+        return self
+
+    def total(self, name: str) -> int:
+        return self.sums[[s.name for s in self.stats].index(name)]
 
     def mean_stderr(self, j: int) -> tuple[float, float]:
         r = self.count
@@ -173,6 +228,14 @@ class _Accumulator:
             return mean, 0.0
         var = (self.sumsqs[j] - self.sums[j] ** 2 / r) / (r - 1)
         return mean, math.sqrt(max(var, 0.0) / r)
+
+
+def _fill(seq: DegreeSequence, master: int, stats: tuple[_Stat, ...], x_max: int,
+          replicates: range) -> _Accumulator:
+    acc = _Accumulator(stats, x_max)
+    for i in replicates:
+        acc.add(component_census(sample(seq, Seed(master, i)), seq))
+    return acc
 
 
 def wilson_interval(successes: int, total: int, z: float = _WILSON_Z) -> tuple[float, float]:
@@ -186,16 +249,10 @@ def wilson_interval(successes: int, total: int, z: float = _WILSON_Z) -> tuple[f
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _lambda_tail(p: LimitParams, max_k: int, which: str) -> float:
-    """Poisson-mean mass folded into the k > max_k overflow bucket."""
-    fn = lambda_cycle if which == "cycle" else lambda_line
-    total = 0.0
-    for k in range(max_k + 1, max_k + 400):
-        term = fn(k, p)
-        total += term
-        if term < 1e-15:
-            break
-    return total
+def _frequency(successes: int, total: int, theory: float | None) -> dict:
+    lo, hi = wilson_interval(successes, total)
+    return {"frequency": successes / total, "wilson_low": lo, "wilson_high": hi,
+            "theory": theory}
 
 
 @dataclass(frozen=True)
@@ -206,7 +263,7 @@ class EstimateReport:
     replicates: int
     stats: dict[str, dict]
     connectivity: dict
-    simplicity: dict | None
+    simplicity: dict
     conditional_connectivity: dict | None
     complement_histogram: list[int]
     complement_pmf_theory: list[float] | None
@@ -230,8 +287,7 @@ class EstimateReport:
         ) + "\n"
 
 
-def _stat_entry(acc: _Accumulator, j: int, theory: float | None) -> dict:
-    mean, stderr = acc.mean_stderr(j)
+def _stat_entry(mean: float, stderr: float, theory: float | None) -> dict:
     z = None
     if theory is not None and stderr > 0:
         z = (mean - theory) / stderr
@@ -247,18 +303,15 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     """
     seq = cfg.resolve_sequence()
     r = cfg.replicates
+    stats = _stats(cfg.max_k)
 
-    acc = _Accumulator(_vector_length(cfg.max_k), cfg.x_max)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for vec in pool.map(
-                lambda i: _replicate_vector(seq, cfg.master_seed, i, cfg.max_k),
-                range(r),
-            ):
-                acc.add(vec)
-    else:
-        for i in range(r):
-            acc.add(_replicate_vector(seq, cfg.master_seed, i, cfg.max_k))
+    parts = min(cfg.threads, r)
+    ranges = [range(r * k // parts, r * (k + 1) // parts) for k in range(parts)]
+    fill = partial(_fill, seq, cfg.master_seed, stats, cfg.x_max)
+    # a lone range runs on the calling thread: in a pool thread it gets a
+    # malloc arena of its own, which raised the peak RSS of 1-thread runs
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        acc = reduce(_Accumulator.merge, (pool.map if parts > 1 else map)(fill, ranges))
 
     params = to_limit_params(window_params(seq))
     # degenerate sequences (2*p2 >= d) fall outside the limit theory;
@@ -268,81 +321,27 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
                        max_k=cfg.max_k)
     except SeriesDivergence:
         pred = None
-    nu_ok = not math.isinf(params.nu)
 
-    stats: dict[str, dict] = {}
-    stats["connected"] = _stat_entry(acc, _CONN, pred.p_connected if pred else None)
-    stats["complement"] = _stat_entry(
-        acc, _COMP, pred.expected_complement if pred else None
-    )
-    stats["deg3_outside_giant"] = _stat_entry(acc, _DEG3, 0.0)
-    stats["other_outside_giant"] = _stat_entry(acc, _OTHER, 0.0)
-    stats["giant_size"] = _stat_entry(
-        acc, _GIANT, seq.n - pred.expected_complement if pred else None
-    )
-    if cfg.collect_simplicity:
-        stats["simple"] = _stat_entry(acc, _SIMPLE, pred.p_simple if pred else None)
-        stats["S"] = _stat_entry(acc, _S, params.nu / 2 if nu_ok else None)
-        stats["M"] = _stat_entry(acc, _M, params.nu**2 / 4 if nu_ok else None)
-    if cfg.collect_components:
-        cyc0 = _FIXED
-        lin0 = _FIXED + cfg.max_k + 1
-        for k in range(1, cfg.max_k + 1):
-            stats[f"C{k}"] = _stat_entry(
-                acc, cyc0 + k - 1, lambda_cycle(k, params) if pred else None
-            )
-        stats[f"C_gt{cfg.max_k}"] = _stat_entry(
-            acc, cyc0 + cfg.max_k,
-            _lambda_tail(params, cfg.max_k, "cycle") if pred else None,
+    report_stats = {
+        s.name: _stat_entry(
+            *acc.mean_stderr(j),
+            s.theory(params, seq.n) if pred is not None or not s.needs_series else None,
         )
-        for k in range(2, cfg.max_k + 1):
-            stats[f"L{k}"] = _stat_entry(
-                acc, lin0 + k - 2, lambda_line(k, params) if pred else None
-            )
-        stats[f"L_gt{cfg.max_k}"] = _stat_entry(
-            acc, lin0 + cfg.max_k - 1,
-            _lambda_tail(params, cfg.max_k, "line") if pred else None,
-        )
-
-    conn_count = acc.sums[_CONN]
-    lo, hi = wilson_interval(conn_count, r)
-    connectivity = {
-        "frequency": conn_count / r,
-        "wilson_low": lo,
-        "wilson_high": hi,
-        "theory": pred.p_connected if pred else None,
+        for j, s in enumerate(stats)
     }
-
-    simplicity = None
-    if cfg.collect_simplicity:
-        simple_count = acc.sums[_SIMPLE]
-        lo, hi = wilson_interval(simple_count, r)
-        simplicity = {
-            "frequency": simple_count / r,
-            "wilson_low": lo,
-            "wilson_high": hi,
-            "theory": pred.p_simple if pred else None,
-        }
-
+    simple_count = acc.total("simple")
     conditional = None
     if cfg.condition_on_simple:
-        accepted = acc.sums[_SIMPLE]
-        if accepted == 0:
+        if simple_count == 0:
             raise ZeroAcceptedSamples(
                 "conditioning on simplicity rejected all replicates"
             )
-        both = acc.sums[_BOTH]
-        lo, hi = wilson_interval(both, accepted)
         conditional = {
-            "frequency": both / accepted,
-            "wilson_low": lo,
-            "wilson_high": hi,
-            "theory": pred.p_connected_given_simple if pred else None,
-            "accepted": accepted,
-            "acceptance_rate": accepted / r,
+            **_frequency(acc.connected_simple, simple_count,
+                         pred.p_connected_given_simple if pred else None),
+            "accepted": simple_count,
+            "acceptance_rate": simple_count / r,
         }
-
-    histogram = list(acc.histogram)
 
     config_echo = {
         "n": seq.n,
@@ -350,8 +349,10 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
         "replicates": r,
         "master_seed": cfg.master_seed,
         "condition_on_simple": cfg.condition_on_simple,
-        "collect_components": cfg.collect_components,
-        "collect_simplicity": cfg.collect_simplicity,
+        # every statistic is always collected; both keys stay in the echo
+        # so reports keep the bytes (and sha256) recorded before that
+        "collect_components": True,
+        "collect_simplicity": True,
         "x_max": cfg.x_max,
         "trunc_k": cfg.trunc_k,
         "max_k": cfg.max_k,
@@ -360,19 +361,16 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     return EstimateReport(
         config=config_echo,
         replicates=r,
-        stats=stats,
-        connectivity=connectivity,
-        simplicity=simplicity,
+        stats=report_stats,
+        connectivity=_frequency(acc.total("connected"), r,
+                                pred.p_connected if pred else None),
+        simplicity=_frequency(simple_count, r, pred.p_simple if pred else None),
         conditional_connectivity=conditional,
-        complement_histogram=histogram,
+        complement_histogram=list(acc.histogram),
         complement_pmf_theory=list(pred.complement_pmf) if pred else None,
         prediction=pred,
     )
 
-
-# statistics emitted per sweep row, in order
-_SWEEP_STATS = ("connected", "simple", "S", "M", "complement",
-                "deg3_outside_giant", "C1", "C2", "L2", "L3")
 
 SWEEP_HEADER = "n,stat,empirical,stderr,theory,z"
 
@@ -390,22 +388,10 @@ def sweep(template: ExperimentConfig, n_values: list[int]) -> str:
         raise ValueError("sweep needs a config with build targets")
     if list(n_values) != sorted(n_values):
         raise ValueError("n_values must be ascending")
+    # BuildTargets keeps p2 < 1 and bulk >= 3, so the limit has 2*p2 < d
+    # and a finite nu: every theory value exists
     limit = template.targets.limit_params()
-    try:
-        targets_theory = {
-            "connected": p_connected(limit),
-            "simple": p_simple(limit),
-            "S": limit.nu / 2,
-            "M": limit.nu**2 / 4,
-            "complement": expected_complement(limit),
-            "deg3_outside_giant": 0.0,
-            "C1": lambda_cycle(1, limit),
-            "C2": lambda_cycle(2, limit),
-            "L2": lambda_line(2, limit),
-            "L3": lambda_line(3, limit),
-        }
-    except CmlabError:
-        targets_theory = {k: None for k in _SWEEP_STATS}
+    stats = [s for s in _stats(template.max_k) if s.in_sweep]
 
     lines = [SWEEP_HEADER]
     for n in n_values:
@@ -415,17 +401,10 @@ def sweep(template: ExperimentConfig, n_values: list[int]) -> str:
         except CmlabError as exc:
             lines.append(f"{n},error:{type(exc).__name__},,,,")
             continue
-        for stat in _SWEEP_STATS:
-            entry = report.stats.get(stat)
-            if entry is None:
-                continue
-            theory = targets_theory.get(stat)
-            z = None
-            if theory is not None and entry["stderr"] > 0:
-                z = (entry["mean"] - theory) / entry["stderr"]
-            theory_txt = "" if theory is None else repr(theory)
-            z_txt = "" if z is None else repr(z)
-            lines.append(
-                f"{n},{stat},{entry['mean']!r},{entry['stderr']!r},{theory_txt},{z_txt}"
-            )
+        for s in stats:
+            measured = report.stats[s.name]
+            entry = _stat_entry(measured["mean"], measured["stderr"], s.theory(limit, n))
+            cells = [entry[k] for k in ("mean", "stderr", "theory", "z")]
+            lines.append(f"{n},{s.name}," + ",".join("" if v is None else repr(v)
+                                                     for v in cells))
     return "\n".join(lines) + "\n"

@@ -143,6 +143,29 @@ def test_sweep_csv(tmp_path, capsys):
     assert any(line.startswith("100,connected,") for line in lines)
 
 
+def test_sweep_n_values_error_names_flag(capsys):
+    code, out, err = _run(
+        ["sweep", "--rho1", "1", "--p2", "0.3", "--n-values", "10,x"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "--n-values: expected an integer vertex count, got 'x'" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--degrees", "1,1"], ["--counts", "1:2"], ["--file", "degs.txt"], ["--n", "50"]],
+)
+def test_sweep_takes_only_build_targets(capsys, flags):
+    """sweep builds every sequence from --rho1/--p2/--bulk; a degree source
+    or --n is a usage error, not silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["sweep", "--rho1", "1", "--p2", "0.3", "--n-values", "50",
+                 "--replicates", "3", *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_counts_input(capsys):
     code, out, _ = _run(
         ["analyze", "--counts", "1:2,2:1", "--seed", "3"], capsys
@@ -210,6 +233,11 @@ def test_malformed_degree_file_names_line(tmp_path, capsys, text, fragment):
         (["--rho1", "1e200"], "rho1"),
         (["--nu", "1e200"], "nu"),
         (["--d", "1e-320"], "rho1"),
+        # d^2 or (d - p2)^2 underflows, d^2 overflows, rho1^2 * 2d overflows
+        (["--d", "1e-200"], "d"),
+        (["--rho1", "0", "--p2", "0", "--d", "1e-300"], "d"),
+        (["--d", "1e200"], "d"),
+        (["--rho1", "1.3e154"], "rho1"),
     ],
 )
 def test_theory_rejects_non_finite_or_negative_params(capsys, flags, field):

@@ -156,6 +156,11 @@ def test_parse_degrees_names_malformed_line(text, lineno):
         ("rho1", {"rho1": 1e200}),
         ("rho1", {"d": 1e-320}),
         ("nu", {"nu": 1e200}),
+        # d^2 underflows or overflows; rho1^2 * 2d or the line mass overflows
+        ("d", {"d": 1e-200}),
+        ("d", {"d": 1e200}),
+        ("rho1", {"rho1": 1.3e154}),
+        ("rho1", {"rho1": 1e153, "p2": 1.34}),
     ],
 )
 def test_limit_params_reject_field(field, kwargs):
@@ -165,7 +170,7 @@ def test_limit_params_reject_field(field, kwargs):
 
 
 def test_limit_params_accept_boundaries():
-    p = degseq.LimitParams(rho1=0.0, p2=0.0, d=1e-300, nu=math.inf)
+    p = degseq.LimitParams(rho1=0.0, p2=0.0, d=1.5e-154, nu=math.inf)
     assert math.isinf(p.nu)
     assert degseq.LimitParams(0, 0, 3, 0).nu == 0
     assert degseq.LimitParams(rho1=1e150, p2=0.3, d=2.7, nu=1e150).nu == 1e150

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,7 @@ def _cfg(**kw):
 def test_connectivity_matches_oracle_for_tiny_sequence():
     """30k replicates of the two-vertex degree-2 sequence: the exact
     connectivity probability 2/3 lies in the 95% Wilson interval."""
-    cfg = _cfg(seq=degseq.validate([2, 2]), replicates=30_000, master_seed=2024,
-               collect_components=False)
+    cfg = _cfg(seq=degseq.validate([2, 2]), replicates=30_000, master_seed=2024)
     rep = montecarlo.run_experiment(cfg)
     lo, hi = rep.connectivity["wilson_low"], rep.connectivity["wilson_high"]
     assert lo <= 2 / 3 <= hi
@@ -48,14 +48,36 @@ def test_single_replicate_report_byte_identical():
     assert report.stats["connected"]["z"] is None
 
 
+def _replicate_row(seq, master, i):
+    # the integers of replicate i alone: an accumulator over range(i, i + 1)
+    return montecarlo._fill(seq, master, montecarlo._stats(10), 50, range(i, i + 1)).sums
+
+
 def test_replicate_streams_are_independent_of_order():
-    # vector for replicate i depends only on (master, i)
+    # the row of replicate i depends only on (master, i)
     seq = degseq.build_sequence(120, 0.5, 0.2, 3)
-    v5 = montecarlo._replicate_vector(seq, 9, 5, 10)
-    v0 = montecarlo._replicate_vector(seq, 9, 0, 10)
-    again5 = montecarlo._replicate_vector(seq, 9, 5, 10)
-    assert (v5 == again5).all()
-    assert not (v5 == v0).all()
+    v5 = _replicate_row(seq, 9, 5)
+    v0 = _replicate_row(seq, 9, 0)
+    again5 = _replicate_row(seq, 9, 5)
+    assert v5 == again5
+    assert v5 != v0
+
+
+def test_thread_pool_gets_one_task_per_range(monkeypatch):
+    """Two threads split 1,000 replicates into two ranges: two tasks, not
+    one per replicate, so memory stays flat as the replicate count grows."""
+    calls = []
+    submit = montecarlo.ThreadPoolExecutor.submit
+
+    def counting_submit(self, *args, **kwargs):
+        calls.append(1)
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.ThreadPoolExecutor, "submit", counting_submit)
+    cfg = _cfg(seq=degseq.validate([1, 1, 2, 2]), replicates=1000, threads=2)
+    two = montecarlo.run_experiment(cfg).to_json()
+    assert len(calls) <= cfg.threads
+    assert two == montecarlo.run_experiment(replace(cfg, threads=1)).to_json()
 
 
 def test_conditioning_consistency():
@@ -64,10 +86,12 @@ def test_conditioning_consistency():
     rep = montecarlo.run_experiment(cfg)
     cond = rep.conditional_connectivity
     simple_freq = rep.simplicity["frequency"]
-    both_freq = sum(
-        1
+    censuses = [
+        census.component_census(generator.sample(cfg.seq, generator.Seed(5, i)), cfg.seq)
         for i in range(cfg.replicates)
-        if (v := montecarlo._replicate_vector(cfg.seq, 5, i, 10))[montecarlo._BOTH]
+    ]
+    both_freq = sum(
+        census.is_connected(c) and census.is_simple(c) for c in censuses
     ) / cfg.replicates
     assert cond["acceptance_rate"] == pytest.approx(simple_freq, abs=1e-12)
     assert cond["frequency"] == pytest.approx(both_freq / simple_freq, abs=1e-12)
@@ -245,8 +269,6 @@ def test_sweep_deviation_shrinks_with_n():
             targets=montecarlo.BuildTargets(n=1, rho1=1.0, p2=0.3),
             replicates=2000,
             master_seed=master,
-            collect_components=False,
-            collect_simplicity=False,
         )
         rows = _sweep_rows(montecarlo.sweep(template, [100, 1000, 10000]))
         for row in rows:

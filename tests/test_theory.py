@@ -1,12 +1,20 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlab import degseq, theory
 from cmlab.degseq import LimitParams
-from cmlab.errors import InfeasibleProduct, NuInfinite, SeriesDivergence
+from cmlab.errors import (
+    InfeasibleProduct,
+    InvalidLimitParams,
+    NuInfinite,
+    SeriesDivergence,
+)
 
 P = LimitParams(rho1=1.0, p2=0.3, d=2.7, nu=16 / 9)
 
@@ -292,3 +300,28 @@ def test_predict_bundle():
     assert infinite_nu.p_simple is None
     assert infinite_nu.p_connected_given_simple is None
     assert infinite_nu.p_connected == pytest.approx(0.6950632347977941, abs=1e-12)
+
+
+# 0, moderate values, and powers of ten from subnormal to near the float max
+_EXTREME = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 5.0),
+    st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho1=_EXTREME, d=_EXTREME, share=st.floats(0.0, 0.5),
+       nu=st.one_of(st.just(math.inf), _EXTREME))
+def test_accepted_limit_params_predict_strict_json(rho1, d, share, nu):
+    """LimitParams either names a bad field, or predict raises
+    SeriesDivergence, or every predicted value is a finite float."""
+    try:
+        p = LimitParams(rho1=rho1, p2=share * d, d=d, nu=nu)
+    except InvalidLimitParams:
+        return
+    try:
+        pred = theory.predict(p, x_max=10, trunc_k=10)
+    except SeriesDivergence:
+        return
+    json.dumps(pred.to_json_dict(), allow_nan=False)
