@@ -8,17 +8,17 @@ interior vertices), self-loop edges S, parallel-edge pairs M, the largest
 component, and the vertices outside it.
 
 The census reads the graph's half-edge pairing directly; no edge list is
-built. It has two paths that give the same census, chosen by vertex
-count.
+built. One plain-Python pass labels components: union-find over the
+vertex pairs, which also counts self-loops and, in a dict keyed on the
+vertex pair, parallel edges, then one tally of each component's size and
+its degree-1 and degree-2 vertices. One classifier turns those rows into
+the census. The two paths below differ only in which vertices the
+union-find sees, chosen by vertex count.
 
-Up to _UNION_FIND_MAX_N = 384 vertices it runs in plain Python, with no
-numpy call per graph beyond reading the pairing, owners and degrees as
-lists. One pass over the pairs counts self-loops, counts parallel edges
-in a dict keyed on the vertex pair, and joins components by union-find;
-one pass over the vertices tallies each component's size and its
-degree-1 and degree-2 vertices. At that size a numpy or scipy call costs
-more than the work it does, and the exact oracle, whose graphs have a
-handful of vertices, runs the census once per multigraph.
+Up to _UNION_FIND_MAX_N = 128 vertices it sees them all. At that size a
+numpy or scipy call costs more than the work it does, and the exact
+oracle, whose graphs have a handful of vertices, runs the census once per
+multigraph.
 
 Above it the adjacency matrix comes straight from the pairing: its row
 pointer is the sequence's half-edge offsets, and the column of half-edge
@@ -26,9 +26,10 @@ h is the owner of h's partner. In the critical window every vertex of
 degree >= 3 lies in the giant with high probability, and what is left is
 a few lines and cycles of degree-1 and degree-2 vertices. So one
 breadth-first search from a maximum-degree vertex covers the giant in the
-usual case, and only the vertices it did not reach are labelled. The
-per-component counts run over those vertices alone; the searched
-component's counts are the sequence totals minus theirs.
+usual case, and only the vertices it did not reach go through the
+union-find; the searched component's counts are the sequence totals
+minus theirs. Self-loops and parallel edges are counted over all pairs by
+one sort of the vertex-pair keys.
 
 Either way the giant is chosen among all components by size and lowest
 vertex id, which is exact whichever component the search happened to
@@ -37,12 +38,12 @@ cover.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from .degseq import DegreeSequence
 from .errors import DegreeMismatch
@@ -50,53 +51,11 @@ from .generator import Multigraph, Seed, _as_generator
 
 # Up to this vertex count the plain-Python census is faster than the
 # search path; on sampled window graphs (rho1 = 1, p2 = 0.3, bulk 3) the
-# two cross between n = 384 and 416 (BENCH_micro_census.json).
-_UNION_FIND_MAX_N = 384
+# two cross between n = 128 and 144, and at n = 384 union-find takes about
+# twice as long as the search.
+_UNION_FIND_MAX_N = 128
 
-
-def _tally(vertices: np.ndarray, labels: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Per-component rows (size, #degree 1, #degree 2, #degree >= 3,
-    lowest vertex) of the listed vertices, given in ascending order and
-    grouped by label; one column per component."""
-    _, first, comp = np.unique(labels, return_index=True, return_inverse=True)
-    k = len(first)
-    d = deg[vertices]
-    return np.stack((
-        np.bincount(comp, minlength=k),
-        np.bincount(comp[d == 1], minlength=k),
-        np.bincount(comp[d == 2], minlength=k),
-        np.bincount(comp[d >= 3], minlength=k),
-        vertices[first],
-    ))
-
-
-def _tally_search(seq: DegreeSequence, pairing: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """_tally of every component: one search, then labels for the rest."""
-    n = seq.n
-    deg = seq.degrees
-    cols = np.empty(seq.ell, dtype=np.int32)
-    cols[pairing[:, 0]] = ends[:, 1]
-    cols[pairing[:, 1]] = ends[:, 0]
-    # int32 indices and float64 data are what scipy's graph routines use
-    # internally; any other dtype is copied on every call
-    adj = csr_matrix((np.ones(seq.ell), cols, seq.half_edge_offsets), shape=(n, n))
-    # the matrix is symmetric, so a directed search covers the component
-    reached = breadth_first_order(adj, int(np.argmax(deg)), directed=True,
-                                  return_predecessors=False)
-    rest = labels = np.zeros(0, dtype=np.int32)
-    if len(reached) < n:
-        unreached = np.ones(n, dtype=bool)
-        unreached[reached] = False
-        rest = np.flatnonzero(unreached)
-        # "weak" on a symmetric matrix is undirected connectivity; scipy's
-        # "strong" mode does not return on a matrix with duplicate entries
-        _, labels = connected_components(adj[rest][:, rest], directed=True,
-                                         connection="weak")
-    table = _tally(rest, labels, deg)
-    left1, left2, left3 = table[1:4].sum(axis=1)
-    searched = (len(reached), seq.n1 - left1, seq.n2 - left2,
-                n - seq.n1 - seq.n2 - left3, int(reached.min()))
-    return np.column_stack((searched, table))
+Row = tuple[int, int, int, int]
 
 
 def _check_degrees(g: Multigraph, degrees: DegreeSequence) -> None:
@@ -168,22 +127,21 @@ def component_census(g: Multigraph, degrees: DegreeSequence) -> ComponentCensus:
     if g.owners is not degrees.half_edge_owners:
         _check_degrees(g, degrees)
     if degrees.n <= _UNION_FIND_MAX_N:
-        return _census_union_find(degrees, g.pairing)
+        ends = degrees.half_edge_owners[g.pairing].tolist()
+        return _classify(degrees, *_components(degrees.degrees.tolist(), ends))
     return _census_search(degrees, g.pairing)
 
 
-def _census_union_find(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
-    """The census in plain Python: one pass over the pairs, one over the
-    vertices, and no numpy call beyond reading three arrays as lists."""
-    n = seq.n
-    owner = seq.half_edge_owners.tolist()
-    deg = seq.degrees.tolist()
+def _components(deg: list[int], ends: list[list[int]]) -> tuple[int, int, list[Row]]:
+    """Self-loops, parallel-edge pairs and one row (lowest vertex, size,
+    #degree 1, #degree 2) per component, in ascending order, of the graph
+    on vertices 0..len(deg)-1 whose edges are the vertex pairs `ends`."""
+    n = len(deg)
     # a root is always the lowest vertex of its tree, and parent[v] <= v
     parent = list(range(n))
     self_loops = multi_edges = 0
     edges_seen: dict[int, int] = {}
-    for h1, h2 in pairing.tolist():
-        u, v = owner[h1], owner[h2]
+    for u, v in ends:
         if u == v:
             self_loops += 1
             continue
@@ -216,20 +174,27 @@ def _census_union_find(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCen
             ones[r] += 1
         elif d == 2:
             twos[r] += 1
+    return self_loops, multi_edges, [(r, size[r], ones[r], twos[r]) for r in roots]
 
-    giant = max(roots, key=size.__getitem__)  # the first maximum: lowest vertex
+
+def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
+              rows: list[Row]) -> ComponentCensus:
+    """The census of `seq`'s graph from its component rows, given in
+    ascending order of lowest vertex as _components returns them."""
+    giant = max(rows, key=itemgetter(1))  # the first maximum: lowest vertex
     cycle_counts: dict[int, int] = {}
     line_counts: dict[int, int] = {}
     other = 0
-    for r in roots:
-        s = size[r]
-        if twos[r] == s:
+    for row in rows:
+        _, s, ones, twos = row
+        if twos == s:
             cycle_counts[s] = cycle_counts.get(s, 0) + 1
-        elif ones[r] == 2 and twos[r] == s - 2:
+        elif ones == 2 and twos == s - 2:
             line_counts[s] = line_counts.get(s, 0) + 1
-        elif r != giant:
+        elif row is not giant:
             other += s
-    giant_size = size[giant]
+    n = seq.n
+    _, giant_size, ones, twos = giant
     return ComponentCensus(
         n=n,
         cycle_counts=cycle_counts,
@@ -239,22 +204,31 @@ def _census_union_find(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCen
         giant_size=giant_size,
         complement=n - giant_size,
         other_outside_giant=other,
-        deg3_outside_giant=(n - seq.n1 - seq.n2) - (giant_size - ones[giant] - twos[giant]),
+        deg3_outside_giant=(n - seq.n1 - seq.n2) - (giant_size - ones - twos),
     )
 
 
+def _reached(seq: DegreeSequence, pairing: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The vertices one breadth-first search from a maximum-degree vertex
+    reaches. The matrix it builds is freed on return."""
+    n = seq.n
+    cols = np.empty(seq.ell, dtype=np.int32)
+    cols[pairing[:, 0]] = ends[:, 1]
+    cols[pairing[:, 1]] = ends[:, 0]
+    # int32 indices and float64 data are what scipy's graph routines use
+    # internally; any other dtype is copied on every call
+    adj = csr_matrix((np.ones(seq.ell), cols, seq.half_edge_offsets), shape=(n, n))
+    # the matrix is symmetric, so a directed search covers the component
+    return breadth_first_order(adj, int(np.argmax(seq.degrees)), directed=True,
+                               return_predecessors=False)
+
+
 def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
-    """The census from one search and labels for the rest, in numpy."""
+    """The census from one search, with union-find rows for the rest."""
     n = seq.n
     ends = seq.half_edge_owners[pairing]
+    reached = _reached(seq, pairing, ends)
     a, b = ends[:, 0], ends[:, 1]
-    sizes, n1, n2, n3, lowest = _tally_search(seq, pairing, ends)
-    is_cycle = n2 == sizes
-    is_line = (n1 == 2) & (n2 == sizes - 2)
-    biggest = np.flatnonzero(sizes == sizes.max())
-    giant = biggest[np.argmin(lowest[biggest])]
-    outside = np.ones(len(sizes), dtype=bool)
-    outside[giant] = False
 
     key = np.minimum(a, b).astype(np.int64)
     key *= n
@@ -270,18 +244,21 @@ def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
         _, extra = np.unique(repeats, return_counts=True)
         multi_edges = int((extra * (extra + 1) // 2).sum())
 
-    giant_size = int(sizes[giant])
-    return ComponentCensus(
-        n=n,
-        cycle_counts=dict(Counter(sizes[is_cycle].tolist())),
-        line_counts=dict(Counter(sizes[is_line].tolist())),
-        self_loops=int(np.count_nonzero(a == b)),
-        multi_edges=multi_edges,
-        giant_size=giant_size,
-        complement=n - giant_size,
-        other_outside_giant=int(sizes[outside & ~is_cycle & ~is_line].sum()),
-        deg3_outside_giant=int(n3.sum() - n3[giant]),
-    )
+    rows: list[Row] = []
+    if len(reached) < n:
+        unreached = np.ones(n, dtype=bool)
+        unreached[reached] = False
+        rest = np.flatnonzero(unreached)
+        # both ends of an edge lie on the same side; renumber them 0..len(rest)-1
+        local = np.searchsorted(rest, ends[unreached[a]])
+        _, _, rows = _components(seq.degrees[rest].tolist(), local.tolist())
+        vertex = rest.tolist()
+        rows = [(vertex[r], s, ones, twos) for r, s, ones, twos in rows]
+    searched = (int(reached.min()), len(reached),
+                seq.n1 - sum(row[2] for row in rows), seq.n2 - sum(row[3] for row in rows))
+    rows.append(searched)
+    rows.sort()  # _classify breaks size ties by row order
+    return _classify(seq, int(np.count_nonzero(a == b)), multi_edges, rows)
 
 
 # ---------------------------------------------------------------------------

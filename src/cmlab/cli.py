@@ -263,14 +263,11 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CmlabError, ValueError) as exc:
+    # OSError: a --file, --graph, --out or --csv path that cannot be opened
+    except (CmlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -245,13 +245,13 @@ def build_sequence(
     return from_counts(dict(counts))
 
 
-def to_limit_params(w: WindowParams, nu_cap: float = NU_CAP_DEFAULT) -> LimitParams:
+def to_limit_params(w: WindowParams) -> LimitParams:
     """Treat the finite-n ratios as their own limits for prediction purposes.
 
-    nu_n above `nu_cap` is flagged as infinite so the generic formulas are
-    never fed an effectively divergent second moment.
+    nu_n above NU_CAP_DEFAULT is flagged as infinite so the generic
+    formulas are never fed an effectively divergent second moment.
     """
-    nu = math.inf if w.nu_n > nu_cap else w.nu_n
+    nu = math.inf if w.nu_n > NU_CAP_DEFAULT else w.nu_n
     return LimitParams(rho1=w.rho1_n, p2=w.p2_n, d=w.d_n, nu=nu)
 
 

@@ -109,17 +109,6 @@ def sample_pairing(
     return perm.reshape(-1, 2)
 
 
-def matching_key(pairing: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Canonical form of a pairing: (min, max) pairs sorted by first id.
-
-    Distinguishes matchings of half-edges, not the induced graphs; two
-    pairings are the same matching iff their keys are equal.
-    """
-    pairs = np.sort(np.asarray(pairing), axis=1)
-    order = np.argsort(pairs[:, 0])
-    return tuple((int(a), int(b)) for a, b in pairs[order])
-
-
 def sample(seq: DegreeSequence, seed: Seed | np.random.Generator | int) -> Multigraph:
     """Sample a uniform half-edge pairing as a multigraph of `seq`."""
     return Multigraph(n=seq.n, owners=seq.half_edge_owners,

@@ -239,11 +239,16 @@ def log_count_connected_simple(seq: DegreeSequence, p: LimitParams) -> float:
     """Natural log of the asymptotic count of connected simple graphs.
 
     The simple-graph count multiplied by the conditional connectivity
-    probability; all factorial terms evaluated in log space.
+    probability; all factorial terms evaluated in log space, and the
+    probability's logarithm in closed form, so it stays finite where the
+    probability itself underflows to 0.
     """
     _require_series(p)
     _require_finite_nu(p)
-    return log_count_simple(seq, p) + math.log(p_connected_given_simple(p))
+    free = p.d - 2 * p.p2
+    log_p = (0.5 * math.log(free / p.d) - p.rho1**2 / (2 * free)
+             + (p.p2**2 + p.d * p.p2) / p.d**2)
+    return log_count_simple(seq, p) + log_p
 
 
 def boundary_p_connected(seq: DegreeSequence) -> float:

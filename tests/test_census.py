@@ -145,7 +145,7 @@ def test_union_find_and_scipy_paths_agree(monkeypatch):
 @st.composite
 def census_inputs(draw):
     """A shuffled degree sequence of up to 750 vertices, either side of the
-    union-find switch at 384, and a sampling seed."""
+    union-find switch at 128, and a sampling seed."""
     counts = draw(st.dictionaries(st.integers(1, 5), st.integers(1, 150), min_size=1))
     degs = [d for d, m in sorted(counts.items()) for _ in range(m)]
     if sum(degs) % 2:

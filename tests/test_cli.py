@@ -1,11 +1,16 @@
+import contextlib
+import csv
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmlab import cli, degseq
+from cmlab import cli, degseq, generator
 
 
 def _run(argv, capsys):
@@ -255,6 +260,25 @@ def test_theory_infinite_nu_is_strict_json(capsys):
     assert _strict_json(out)["p_simple"] is None
 
 
+@pytest.mark.parametrize("command", ["theory", "simulate"])
+def test_underflowing_connectivity_is_strict_json(tmp_path, capsys, command):
+    """rho1 = 95 at d = 1.18: P(connected | simple) underflows to 0, while
+    its logarithm, and so the connected-simple count, stays finite."""
+    path = tmp_path / "degs.txt"
+    path.write_text("1 10000\n3 1000\n")
+    argv = [command, "--file", str(path)]
+    if command == "simulate":
+        argv += ["--replicates", "2"]
+    code, out, err = _run(argv, capsys)
+    assert code == 0, err
+    payload = _strict_json(out)
+    if command == "theory":
+        assert payload["p_connected_given_simple"] == 0.0
+        assert payload["log_count_connected_simple"] == pytest.approx(49434.729365, rel=1e-9)
+    else:
+        assert payload["connectivity"]["theory"] == 0.0
+
+
 def test_theory_large_poisson_mean_finishes():
     """lambda_line(2) = 70^2 / 5.4 ~ 907, where exp(-lambda) underflows."""
     start = time.monotonic()
@@ -329,3 +353,120 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p_connected"] == "1"
+
+
+# ---------------------------------------------------------------------------
+# Property test over argv drawn from bounded domains, with malformed items
+# ---------------------------------------------------------------------------
+
+#: wall-time bound of one cli.run call in the property test below; the
+#: slowest of 300 drawn calls took 0.07 s on a 2-core machine, so the bound
+#: leaves room for a slow runner and still catches a hang
+ARGV_WALL_BOUND_S = 20.0
+
+
+def _mostly(valid, *bad):
+    """Draws from `valid`, or one of the malformed values `bad` about one
+    draw in eight."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(bad) if i == 7 else valid)
+
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _flat(options):
+    return st.tuples(*options).map(lambda opts: [item for opt in opts for item in opt])
+
+
+def _joined(items):
+    return st.lists(items, min_size=1, max_size=6).map(lambda xs: ",".join(map(str, xs)))
+
+
+_DEGREE = _mostly(st.integers(1, 4), -1, 0)
+_SOURCE = _mostly(
+    st.one_of(
+        _opt("--degrees", _joined(_DEGREE)),
+        _opt("--counts", _joined(st.tuples(_DEGREE, st.integers(0, 4))
+                                 .map(lambda t: f"{t[0]}:{t[1]}"))),
+    ),
+    ["--file", "no/such/degrees.txt"],
+)
+_TARGETS = _flat([
+    _opt("--rho1", _mostly(st.floats(0, 3), "nan", "inf", "-1")),
+    _opt("--p2", _mostly(st.floats(0, 0.6), "nan", "-1")),
+    _opt("--bulk", _mostly(st.integers(3, 5), 1)),
+])
+_BUILD = _flat([_opt("--n", _mostly(st.integers(1, 2000), 0, -5)), _TARGETS])
+_RUN = _flat([
+    _opt("--replicates", _mostly(st.integers(1, 20), 0)),
+    _opt("--threads", _mostly(st.integers(1, 4), 0)),
+    _opt("--seed", _mostly(st.integers(0, 2**64 - 1), -1, 2**64)),
+    _opt("--x-max", _mostly(st.integers(0, 60), -2)),
+    _opt("--trunc-k", _mostly(st.integers(0, 60), -2)),
+    st.sampled_from([[], ["--condition-on-simple"]]),
+])
+_THEORY = _flat([
+    _opt("--rho1", _mostly(st.floats(0, 3), "nan", "inf", "-1")),
+    _opt("--p2", _mostly(st.floats(0, 1), "nan")),
+    _opt("--d", _mostly(st.floats(1, 5), "0", "nan")),
+    _opt("--nu", _mostly(st.floats(0, 5), "inf", "-1")),
+    _opt("--x-max", _mostly(st.integers(0, 60), -2)),
+])
+_N_VALUES = _mostly(st.lists(st.integers(50, 2000), min_size=1, max_size=3)
+                    .map(lambda ns: ",".join(map(str, sorted(ns)))), "0", "10,x", "")
+_MALFORMED = [["--bogus"], ["x"], ["--n"], ["--degrees", "1,,x"], ["--counts", "2"],
+              ["--graph", "no/such/graph.txt"], ["--threads", "nan"]]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["generate", "analyze", "theory", "enumerate", "simulate", "sweep"]))
+    if command in ("generate", "analyze"):
+        options = draw(st.one_of(_SOURCE, _BUILD)) + draw(_opt("--seed", st.integers(0, 99)))
+    elif command == "theory":
+        options = draw(st.one_of(_SOURCE, _THEORY))
+    elif command == "enumerate":
+        options = draw(_SOURCE)
+    elif command == "simulate":
+        options = draw(st.one_of(_SOURCE, _BUILD)) + draw(_RUN)
+    else:
+        options = draw(_TARGETS) + draw(_RUN) + draw(_opt("--n-values", _N_VALUES))
+    argv = [command, *options]
+    at = draw(st.integers(1, len(argv)))
+    argv[at:at] = draw(_mostly(st.just([]), *_MALFORMED))
+    return argv
+
+
+def _check_stdout(command, out):
+    """Strict JSON, a CSV table for sweep, an edge dump for generate."""
+    if command == "sweep":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n", "stat", "empirical", "stderr", "theory", "z"]
+        assert all(len(row) == len(rows[0]) for row in rows)
+    elif command == "generate":
+        generator.parse_edges(out)
+    else:
+        _strict_json(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_argv_property(argv):
+    """Any argv from these domains exits 0, 1 or 2 within the wall bound,
+    and prints either nothing or the command's full output."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert time.monotonic() - start < ARGV_WALL_BOUND_S, argv
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 0:
+        _check_stdout(argv[0], out.getvalue())
+    else:
+        assert out.getvalue() == "", argv
+        assert err.getvalue(), argv

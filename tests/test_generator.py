@@ -116,11 +116,6 @@ def test_uniform_over_matchings(raw, master):
     assert stat < chi2.ppf(0.999, df=len(matchings) - 1)
 
 
-def test_matching_key_normalizes():
-    key = generator.matching_key(np.array([[3, 0], [2, 1]]))
-    assert key == ((0, 3), (1, 2))
-
-
 def test_edge_dump_round_trip():
     s = degseq.validate([1, 2, 3, 2, 2])
     g = generator.sample(s, generator.Seed(5))
