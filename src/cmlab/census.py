@@ -8,27 +8,28 @@ interior vertices), self-loop edges S, parallel-edge pairs M, the largest
 component, and the vertices outside it.
 
 The census reads the graph's half-edge pairing directly; no edge list is
-built. One plain-Python pass labels components: union-find over the
-vertex pairs, which also counts self-loops and, in a dict keyed on the
-vertex pair, parallel edges, then one tally of each component's size and
-its degree-1 and degree-2 vertices. One classifier turns those rows into
-the census. The two paths below differ only in which vertices the
-union-find sees, chosen by vertex count.
+built. Components are labelled one of two ways, and one classifier turns
+the labels' rows (lowest vertex, size, #degree 1, #degree 2 per
+component) into the census. A plain-Python union-find over the vertex
+pairs labels a graph of up to _UNION_FIND_MAX_N = 128 vertices; it also
+counts self-loops and, in a dict keyed on the vertex pair, parallel
+edges. At that size a numpy or scipy call costs more than the work it
+does, and the exact oracle, whose graphs have a handful of vertices, runs
+the census once per multigraph.
 
-Up to _UNION_FIND_MAX_N = 128 vertices it sees them all. At that size a
-numpy or scipy call costs more than the work it does, and the exact
-oracle, whose graphs have a handful of vertices, runs the census once per
-multigraph.
-
-Above it the adjacency matrix comes straight from the pairing: its row
-pointer is the sequence's half-edge offsets, and the column of half-edge
-h is the owner of h's partner. In the critical window every vertex of
-degree >= 3 lies in the giant with high probability, and what is left is
-a few lines and cycles of degree-1 and degree-2 vertices. So one
-breadth-first search from a maximum-degree vertex covers the giant in the
-usual case, and only the vertices it did not reach go through the
-union-find; the searched component's counts are the sequence totals
-minus theirs. Self-loops and parallel edges are counted over all pairs by
+A larger graph gets an adjacency matrix straight from the pairing: its
+row pointer is the sequence's half-edge offsets, and the column of
+half-edge h is the owner of h's partner. In the critical window every
+vertex of degree >= 3 lies in the giant with high probability, and what
+is left is a few lines and cycles of degree-1 and degree-2 vertices. So
+one breadth-first search from a maximum-degree vertex covers the giant in
+the usual case, and only the vertices it did not reach are labelled: by
+the union-find when there are at most _UNION_FIND_MAX_N of them, else by
+scipy's connected_components, whose equal components share one row.
+Outside the window a search can miss most of the graph, and the Python
+loop would take about 2 us a vertex. The searched component's counts are
+the sequence totals minus theirs.
+Self-loops and parallel edges the union-find did not see are counted by
 one sort of the vertex-pair keys.
 
 Either way the giant is chosen among all components by size and lowest
@@ -43,19 +44,23 @@ from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .degseq import DegreeSequence
 from .errors import DegreeMismatch
 from .generator import Multigraph, Seed, _as_generator
 
-# Up to this vertex count the plain-Python census is faster than the
-# search path; on sampled window graphs (rho1 = 1, p2 = 0.3, bulk 3) the
-# two cross between n = 128 and 144, and at n = 384 union-find takes about
-# twice as long as the search.
+# Up to this vertex count the plain-Python union-find labels a graph, or
+# what a search missed, faster than numpy and scipy do. On sampled window
+# graphs (rho1 = 1, p2 = 0.3, bulk 3) it and the search cross between
+# n = 128 and 192; on leftovers of degree-1 and degree-2 vertices it and
+# scipy cross near 512 vertices (BENCH_micro_census.json).
 _UNION_FIND_MAX_N = 128
 
-Row = tuple[int, int, int, int]
+# (lowest vertex, size, #degree 1, #degree 2, count): `count` components
+# of this size and these degree counts, the first of which has this lowest
+# vertex
+Row = tuple[int, int, int, int, int]
 
 
 def _check_degrees(g: Multigraph, degrees: DegreeSequence) -> None:
@@ -127,21 +132,22 @@ def component_census(g: Multigraph, degrees: DegreeSequence) -> ComponentCensus:
     if g.owners is not degrees.half_edge_owners:
         _check_degrees(g, degrees)
     if degrees.n <= _UNION_FIND_MAX_N:
-        ends = degrees.half_edge_owners[g.pairing].tolist()
-        return _classify(degrees, *_components(degrees.degrees.tolist(), ends))
+        ends = degrees.half_edge_owners[g.pairing]
+        return _classify(degrees, *_components(degrees.degrees, ends))
     return _census_search(degrees, g.pairing)
 
 
-def _components(deg: list[int], ends: list[list[int]]) -> tuple[int, int, list[Row]]:
-    """Self-loops, parallel-edge pairs and one row (lowest vertex, size,
-    #degree 1, #degree 2) per component, in ascending order, of the graph
-    on vertices 0..len(deg)-1 whose edges are the vertex pairs `ends`."""
+def _components(deg: np.ndarray, ends: np.ndarray) -> tuple[int, int, list[Row]]:
+    """Self-loops, parallel-edge pairs and one row per component (count
+    1), in ascending order, of the graph on vertices 0..len(deg)-1 whose
+    edges are the vertex pairs `ends`."""
     n = len(deg)
+    deg = deg.tolist()
     # a root is always the lowest vertex of its tree, and parent[v] <= v
     parent = list(range(n))
     self_loops = multi_edges = 0
     edges_seen: dict[int, int] = {}
-    for u, v in ends:
+    for u, v in ends.tolist():
         if u == v:
             self_loops += 1
             continue
@@ -174,7 +180,7 @@ def _components(deg: list[int], ends: list[list[int]]) -> tuple[int, int, list[R
             ones[r] += 1
         elif d == 2:
             twos[r] += 1
-    return self_loops, multi_edges, [(r, size[r], ones[r], twos[r]) for r in roots]
+    return self_loops, multi_edges, [(r, size[r], ones[r], twos[r], 1) for r in roots]
 
 
 def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
@@ -186,15 +192,15 @@ def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
     line_counts: dict[int, int] = {}
     other = 0
     for row in rows:
-        _, s, ones, twos = row
+        _, s, ones, twos, m = row
         if twos == s:
-            cycle_counts[s] = cycle_counts.get(s, 0) + 1
+            cycle_counts[s] = cycle_counts.get(s, 0) + m
         elif ones == 2 and twos == s - 2:
-            line_counts[s] = line_counts.get(s, 0) + 1
-        elif row is not giant:
-            other += s
+            line_counts[s] = line_counts.get(s, 0) + m
+        else:  # the giant is the first component of its row
+            other += s * (m - (row is giant))
     n = seq.n
-    _, giant_size, ones, twos = giant
+    _, giant_size, ones, twos, _ = giant
     return ComponentCensus(
         n=n,
         cycle_counts=cycle_counts,
@@ -208,10 +214,10 @@ def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
     )
 
 
-def _reached(seq: DegreeSequence, pairing: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The vertices one breadth-first search from a maximum-degree vertex
-    reaches. The matrix it builds is freed on return."""
+def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
+    """The census from one search, with labels for what it missed."""
     n = seq.n
+    ends = seq.half_edge_owners[pairing]
     cols = np.empty(seq.ell, dtype=np.int32)
     cols[pairing[:, 0]] = ends[:, 1]
     cols[pairing[:, 1]] = ends[:, 0]
@@ -219,17 +225,30 @@ def _reached(seq: DegreeSequence, pairing: np.ndarray, ends: np.ndarray) -> np.n
     # internally; any other dtype is copied on every call
     adj = csr_matrix((np.ones(seq.ell), cols, seq.half_edge_offsets), shape=(n, n))
     # the matrix is symmetric, so a directed search covers the component
-    return breadth_first_order(adj, int(np.argmax(seq.degrees)), directed=True,
-                               return_predecessors=False)
+    reached = breadth_first_order(adj, int(np.argmax(seq.degrees)), directed=True,
+                                  return_predecessors=False)
+    self_loops = multi_edges = 0
+    rows: list[Row] = []
+    counted = slice(None)  # the pairs whose loops and parallel edges numpy counts
+    if len(reached) < n:
+        unreached = np.ones(n, dtype=bool)
+        unreached[reached] = False
+        rest = np.flatnonzero(unreached)
+        if len(rest) <= _UNION_FIND_MAX_N:
+            # both ends of an edge lie on the same side; np.compress
+            # selects rows about ten times faster than a boolean index
+            out = unreached[ends[:, 0]]
+            local = np.searchsorted(rest, np.compress(out, ends, axis=0))
+            self_loops, multi_edges, rows = _components(seq.degrees[rest], local)
+            vertex = rest.tolist()
+            rows = [(vertex[r], *counts) for r, *counts in rows]
+            counted = ~out
+        else:
+            rows = _sparse_rows(adj[rest][:, rest], seq.degrees[rest], rest)
+    del adj, cols  # about 3 MB at n = 1e5, freed before the pair keys are sorted
 
-
-def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
-    """The census from one search, with union-find rows for the rest."""
-    n = seq.n
-    ends = seq.half_edge_owners[pairing]
-    reached = _reached(seq, pairing, ends)
-    a, b = ends[:, 0], ends[:, 1]
-
+    a, b = ends[:, 0][counted], ends[:, 1][counted]
+    self_loops += int(np.count_nonzero(a == b))
     key = np.minimum(a, b).astype(np.int64)
     key *= n
     key += np.maximum(a, b)
@@ -238,27 +257,38 @@ def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
     # a self-loop at v has the key v*(n+1), which no other edge has; loops
     # at one vertex are not parallel edges
     repeats = repeats[repeats % (n + 1) != 0]
-    multi_edges = 0
     if len(repeats):
         # a pair joined by m parallel edges repeats m-1 times: C(m, 2) pairs
         _, extra = np.unique(repeats, return_counts=True)
-        multi_edges = int((extra * (extra + 1) // 2).sum())
+        multi_edges += int((extra * (extra + 1) // 2).sum())
 
-    rows: list[Row] = []
-    if len(reached) < n:
-        unreached = np.ones(n, dtype=bool)
-        unreached[reached] = False
-        rest = np.flatnonzero(unreached)
-        # both ends of an edge lie on the same side; renumber them 0..len(rest)-1
-        local = np.searchsorted(rest, ends[unreached[a]])
-        _, _, rows = _components(seq.degrees[rest].tolist(), local.tolist())
-        vertex = rest.tolist()
-        rows = [(vertex[r], s, ones, twos) for r, s, ones, twos in rows]
-    searched = (int(reached.min()), len(reached),
-                seq.n1 - sum(row[2] for row in rows), seq.n2 - sum(row[3] for row in rows))
-    rows.append(searched)
+    rows.append((int(reached.min()), len(reached), seq.n1 - sum(r[2] * r[4] for r in rows),
+                 seq.n2 - sum(r[3] * r[4] for r in rows), 1))
     rows.sort()  # _classify breaks size ties by row order
-    return _classify(seq, int(np.count_nonzero(a == b)), multi_edges, rows)
+    return _classify(seq, self_loops, multi_edges, rows)
+
+
+def _sparse_rows(adj: csr_matrix, deg: np.ndarray, vertex: np.ndarray) -> list[Row]:
+    """_components's rows, unordered, from scipy's labels, of the graph
+    `adj` whose vertex i is `vertex[i]` (ascending) and has degree
+    `deg[i]`; equal components share one row."""
+    # "weak" on a symmetric matrix is undirected connectivity; scipy's
+    # "strong" mode does not return on a matrix with duplicate entries
+    _, labels = connected_components(adj, directed=True, connection="weak")
+    # scipy numbers the components in the order of their lowest vertex, so
+    # the running maximum of the labels steps up exactly at those vertices
+    lowest = vertex[np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))]
+    size = np.bincount(labels)
+    counts = np.stack((size, np.bincount(labels[deg == 1], minlength=len(size)),
+                       np.bincount(labels[deg == 2], minlength=len(size))))
+    # one row for each distinct column of counts: outside the window tens of
+    # thousands of components can be equal, too many to classify one by
+    # one. lexsort is stable, so a group starts at its lowest component
+    order = np.lexsort(counts)
+    starts = np.flatnonzero(np.diff(counts[:, order], axis=1, prepend=-1).any(axis=0))
+    first = order[starts]
+    return list(zip(lowest[first].tolist(), *counts[:, first].tolist(),
+                    np.diff(starts, append=len(order)).tolist()))
 
 
 # ---------------------------------------------------------------------------

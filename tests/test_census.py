@@ -226,6 +226,24 @@ def test_census_equals_reference_on_hand_made_graphs(name, monkeypatch):
         assert {field: getattr(c, field) for field in expected} == expected
 
 
+def test_search_path_hands_small_leftover_to_union_find(monkeypatch):
+    """With the switch just below n the search path runs, and the vertices
+    it missed, at most n - 1 of them, go through the union-find; at a
+    switch of 0 (the tests above) scipy labels them instead."""
+    cases = [(raw, rows) for raw, rows, _ in _BIG_CASES.values()]
+    # the search reaches {1, 2, 3}, which ties in size with the leftover's
+    # {4, 5, 6}; only the leftover's own vertex ids put it second
+    cases.append(([2, 4, 3, 1, 3, 3, 4],
+                  [(0, 0), (1, 2), (1, 2), (1, 2), (1, 3), (4, 5), (4, 5), (5, 6), (6, 4), (6, 6)]))
+    graphs = [(degseq.validate(raw), _graph(len(raw), rows)) for raw, rows in cases]
+    for counts in ({1: 300}, {2: 300}, {1: 30, 2: 100, 3: 170}):
+        s = degseq.from_counts(counts)
+        graphs += [(s, generator.sample(s, generator.Seed(31, i))) for i in range(10)]
+    for s, g in graphs:
+        monkeypatch.setattr(census, "_UNION_FIND_MAX_N", s.n - 1)
+        assert census.component_census(g, s) == reference_census(g, s)
+
+
 def test_census_paths_agree_on_every_small_multigraph(monkeypatch):
     """Every multigraph of every degree multiset with ell <= 10: the
     union-find census equals the search-path census and the reference."""
