@@ -1,35 +1,38 @@
 """Exact laws of tiny sequences by exhaustive enumeration.
 
 Every probabilistic claim in the package grounds out here. The oracle
-enumerates each multigraph with the prescribed degrees exactly once, runs
-the same component census on it, and weights it by the number of the
-(ell-1)!! half-edge matchings that induce it:
+enumerates each multigraph with the prescribed degrees exactly once and
+weights it by the number of the (ell-1)!! half-edge matchings that induce
+it:
 
     prod_v d_v! / (prod_{u<v} m_uv! * prod_v 2^l_v l_v!),
 
 where m_uv is the number of u-v edges and l_v the number of self-loops at
 v (Bollobas 1980). The weights sum to (ell-1)!!, so the law is the same
-as over all matchings, with one census per multigraph instead of a walk
-over every matching. Arbitrary-precision arithmetic keeps the results
-exact. The default cap ell <= 16 bounds the run time: with all degrees 1
-every matching is a multigraph of its own (2,027,025 census calls at
-ell = 16), and at ell = 24 all degrees 2 alone give 171,453,343.
+as over all matchings. The walk that builds each multigraph edge by edge
+also keeps its self-loops, its parallel-edge pairs and its components,
+and two multigraphs with the same counts and the same component
+signatures in lowest-vertex order have the same census. So the weights
+are summed per such class, and the census classifier runs once per
+class, not once per multigraph. Arbitrary-precision arithmetic keeps the
+results exact. The default cap ell <= 16 bounds the run time: with all
+degrees 1 every matching is a multigraph of its own (2,027,025 at
+ell = 16, in 1,430 classes, about 6 s), and at ell = 24 all degrees 2
+alone give 171,453,343.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .census import ComponentCensus, component_census
+from .census import ComponentCensus, Row, _classify
 from .degseq import DegreeSequence
 from .errors import TooLarge
-from .generator import Multigraph
 
 HALF_EDGE_CAP = 16
 
@@ -75,11 +78,17 @@ def enumerate_matchings(
     return rec(tuple(range(seq.ell)))
 
 
-def enumerate_multigraphs(
-    seq: DegreeSequence, cap: int = HALF_EDGE_CAP
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield every multigraph with the degrees of `seq` exactly once, as
-    (pairing, number of matchings that induce it).
+#: a multigraph's class along the walk: (self-loops, parallel-edge pairs,
+#: packed component signatures); see _walk. Equal classes have equal
+#: censuses.
+WalkKey = tuple[int, int, int]
+
+
+def _walk(
+    seq: DegreeSequence, cap: int
+) -> Iterator[tuple[list[tuple[int, int]], int, WalkKey]]:
+    """Every multigraph with the degrees of `seq` exactly once, as (its
+    pairing, the number of matchings that induce it, its class).
 
     The recursion joins a free half-edge of the lowest vertex u that has
     one to a vertex v >= u, no lower than u's previous partner (v = u
@@ -88,8 +97,16 @@ def enumerate_multigraphs(
     takes the next free half-edge id of its vertex, so the pairing is
     laid out on `seq.half_edge_owners`. A run of r equal partners
     multiplies the weight's denominator by r (by 2r for a self-loop),
-    which builds up prod m_uv! * prod 2^l_v l_v!. Raises TooLarge when
-    ell exceeds `cap`.
+    which builds up prod m_uv! * prod 2^l_v l_v!; the r-th u-v edge
+    also makes r - 1 new pairs of parallel edges.
+
+    The components grow along the walk and are undone on backtrack: each
+    vertex knows the lowest vertex of its component, and the component's
+    signature (size, #degree 1, #degree 2) sits in the bits of the class
+    integer that belong to that lowest vertex, fields of n.bit_length()
+    bits each, so the integer reads the signatures in lowest-vertex
+    order. The pairing list is shared and changes once the walk goes on.
+    Raises TooLarge, on the call itself, when ell exceeds `cap`.
     """
     _check_cap(seq, cap)
     n = seq.n
@@ -99,13 +116,22 @@ def enumerate_multigraphs(
     end = seq.half_edge_offsets[1:].tolist()
     numerator = math.prod(math.factorial(d) for d in degrees)
     pairs: list[tuple[int, int]] = []
+    field = n.bit_length()
+    width = 3 * field
+    mask = (1 << width) - 1
+    low = list(range(n))  # the lowest vertex of each vertex's component
+    members = [[v] for v in range(n)]  # the vertices of each lowest vertex's component
+    signatures = 0
+    for v, d in enumerate(degrees):
+        signatures |= (1 | (d == 1) << field | (d == 2) << 2 * field) << v * width
 
-    def rec(u: int, last: int, run: int, denom: int) -> Iterator[tuple[np.ndarray, int]]:
+    def rec(u: int, last: int, run: int, denom: int, loops: int, multi: int,
+            comps: int) -> Iterator[tuple[list[tuple[int, int]], int, WalkKey]]:
         if free[u] == 0:  # u is done: go on to the next vertex with a free half-edge
             while u < n and free[u] == 0:
                 u += 1
             if u == n:
-                yield np.array(pairs), numerator // denom
+                yield pairs, numerator // denom, (loops, multi, comps)
                 return
             last, run = u, 0
         hu = end[u] - free[u]
@@ -114,19 +140,61 @@ def enumerate_multigraphs(
             if v == u and free[u] >= 2:
                 free[u] -= 2
                 pairs.append((hu, hu + 1))
-                yield from rec(u, v, r, denom * 2 * r)
+                yield from rec(u, v, r, denom * 2 * r, loops + 1, multi, comps)
                 pairs.pop()
                 free[u] += 2
             elif v != u and free[v]:
                 free[u] -= 1
                 pairs.append((hu, end[v] - free[v]))
                 free[v] -= 1
-                yield from rec(u, v, r, denom * r)
+                a, b = low[u], low[v]
+                if a == b:
+                    yield from rec(u, v, r, denom * r, loops, multi + r - 1, comps)
+                else:  # join the component of the higher lowest vertex to the other
+                    if b < a:
+                        a, b = b, a
+                    joined = members[b]
+                    for w in joined:
+                        low[w] = a
+                    kept = members[a]
+                    size = len(kept)
+                    kept += joined
+                    sig = comps >> b * width & mask
+                    yield from rec(u, v, r, denom * r, loops, multi + r - 1,
+                                   comps + (sig << a * width) - (sig << b * width))
+                    del kept[size:]
+                    for w in joined:
+                        low[w] = b
                 pairs.pop()
                 free[v] += 1
                 free[u] += 1
 
-    return rec(0, 0, 0, 1)
+    return rec(0, 0, 0, 1, 0, 0, signatures)
+
+
+def enumerate_multigraphs(
+    seq: DegreeSequence, cap: int = HALF_EDGE_CAP
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield every multigraph with the degrees of `seq` exactly once, as
+    (pairing, number of matchings that induce it); see _walk. Raises
+    TooLarge when ell exceeds `cap`.
+    """
+    walk = _walk(seq, cap)  # checks the cap now, not at the first item
+    return ((np.array(pairs), weight) for pairs, weight, _ in walk)
+
+
+def _class_census(seq: DegreeSequence, key: WalkKey) -> CensusKey:
+    """The census key of every multigraph of walk class `key`."""
+    loops, multi, comps = key
+    field = seq.n.bit_length()
+    width = 3 * field
+    mask = (1 << field) - 1
+    rows: list[Row] = []
+    for v in range(seq.n):
+        sig = comps >> v * width
+        if sig & mask:  # a size: v is the lowest vertex of a component
+            rows.append((v, sig & mask, sig >> field & mask, sig >> 2 * field & mask, 1))
+    return census_key(_classify(seq, loops, multi, rows))
 
 
 def census_key(c: ComponentCensus) -> CensusKey:
@@ -190,15 +258,18 @@ class ExactLaw:
 def exact_law(seq: DegreeSequence, cap: int = HALF_EDGE_CAP) -> ExactLaw:
     """Aggregate the exact census law over every matching.
 
-    Each matching carries weight 1/(ell-1)!!. The census runs once per
-    multigraph, which carries the weight of all the matchings inducing
-    it (see enumerate_multigraphs).
+    Each matching carries weight 1/(ell-1)!!. The walk over multigraphs
+    (see _walk) adds each multigraph's weight, the number of matchings
+    inducing it, to its class; each class is classified once.
     """
-    owners = seq.half_edge_owners
-    outcome_counts: Counter[CensusKey] = Counter()
-    for pairing, weight in enumerate_multigraphs(seq, cap=cap):
-        g = Multigraph(n=seq.n, owners=owners, pairing=pairing)
-        outcome_counts[census_key(component_census(g, seq))] += weight
+    classes: dict[WalkKey, int] = {}
+    get = classes.get
+    for _, weight, key in _walk(seq, cap):
+        classes[key] = get(key, 0) + weight
+    outcome_counts: dict[CensusKey, int] = {}
+    for key, weight in classes.items():
+        outcome = _class_census(seq, key)
+        outcome_counts[outcome] = outcome_counts.get(outcome, 0) + weight
     total = sum(outcome_counts.values())
     if total != double_factorial_odd(seq.ell):
         raise RuntimeError(
@@ -206,32 +277,24 @@ def exact_law(seq: DegreeSequence, cap: int = HALF_EDGE_CAP) -> ExactLaw:
             f"{double_factorial_odd(seq.ell)}"
         )
 
-    joint = {key: Fraction(cnt, total) for key, cnt in outcome_counts.items()}
-    stats = sorted({s for key in joint for s, _ in key})
-    expectations = {
-        stat: sum((p * _key_value(key, stat) for key, p in joint.items()), Fraction(0))
-        for stat in stats
-    }
-    p_conn = sum(
-        (p for key, p in joint.items() if _key_value(key, "complement") == 0),
-        Fraction(0),
-    )
-    p_simp = sum(
-        (
-            p
-            for key, p in joint.items()
-            if _key_value(key, "S") == 0 and _key_value(key, "M") == 0
-        ),
-        Fraction(0),
-    )
+    sums: dict[str, int] = {}
+    connected = simple = 0
+    for key, cnt in outcome_counts.items():
+        for stat, value in key:
+            sums[stat] = sums.get(stat, 0) + cnt * value
+        values = dict(key)
+        if values["complement"] == 0:
+            connected += cnt
+        if values["S"] == 0 and values["M"] == 0:
+            simple += cnt
     return ExactLaw(
         n=seq.n,
         ell=seq.ell,
         total_matchings=total,
-        p_connected=p_conn,
-        p_simple=p_simp,
-        census_expectations=expectations,
-        joint_pmf=joint,
+        p_connected=Fraction(connected, total),
+        p_simple=Fraction(simple, total),
+        census_expectations={stat: Fraction(v, total) for stat, v in sums.items()},
+        joint_pmf={key: Fraction(cnt, total) for key, cnt in outcome_counts.items()},
     )
 
 

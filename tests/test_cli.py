@@ -430,7 +430,8 @@ def _argv(draw):
         options = draw(st.one_of(_SOURCE, _THEORY))
     elif command == "enumerate":
         # at the default cap of 16 half-edges {1: 16} has 2,027,025
-        # multigraphs and takes about a minute; at 12, {1: 12} has 10,395
+        # multigraphs and takes about 6 s, too long to draw often; at 12,
+        # {1: 12} has 10,395
         options = draw(_SOURCE) + ["--cap", "12"]
     elif command == "simulate":
         options = draw(st.one_of(_SOURCE, _BUILD)) + draw(_RUN)

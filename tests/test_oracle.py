@@ -1,11 +1,15 @@
+import hashlib
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cmlab import degseq, generator, oracle, theory
+from cmlab import cli, degseq, generator, oracle, theory
+from cmlab.census import component_census
 from cmlab.errors import TooLarge
+from cmlab.oracle import census_key
 from reference_oracle import reference_law
 
 
@@ -126,11 +130,9 @@ def test_monte_carlo_agrees_with_exact_law(raw, master):
     law = oracle.exact_law(seq)
     census_of = {}
     for matching in oracle.enumerate_matchings(seq):
-        from cmlab.census import component_census
-
         g = generator.Multigraph(n=seq.n, owners=seq.half_edge_owners,
                                  pairing=np.array(matching))
-        census_of[matching] = oracle.census_key(component_census(g, seq))
+        census_of[matching] = census_key(component_census(g, seq))
 
     n_samples = 100_000
     rng = generator.Seed(master).generator()
@@ -195,23 +197,30 @@ def test_exact_law_equals_matching_walk(counts):
     ids=str,
 )
 def test_one_census_per_multigraph(counts, graphs, monkeypatch):
+    """Each multigraph comes out once, its walk class fixes its census,
+    and exact_law classifies each class once."""
     seq = degseq.from_counts(counts)
     found = list(oracle.enumerate_multigraphs(seq))
     assert len(found) == graphs
     assert len({tuple(sorted(map(tuple, seq.half_edge_owners[p].tolist())))
                 for p, _ in found}) == graphs
+    keys = set()
+    for pairs, _, key in oracle._walk(seq, oracle.HALF_EDGE_CAP):
+        g = generator.Multigraph(n=seq.n, owners=seq.half_edge_owners,
+                                 pairing=np.array(pairs))
+        assert census_key(component_census(g, seq)) == oracle._class_census(seq, key)
+        keys.add(key)
+
     calls = []
-    census = oracle.component_census
+    classify = oracle._class_census
 
-    def counting_census(g, s):
-        calls.append(g)
-        return census(g, s)
+    def counting_classify(s, key):
+        calls.append(key)
+        return classify(s, key)
 
-    monkeypatch.setattr(oracle, "component_census", counting_census)
+    monkeypatch.setattr(oracle, "_class_census", counting_classify)
     oracle.exact_law(seq)
-    assert len(calls) == graphs
-    # every pairing shares the sequence's layout, so no degree re-check
-    assert all(g.owners is seq.half_edge_owners for g in calls)
+    assert sorted(calls) == sorted(keys)
 
 
 @pytest.mark.parametrize(
@@ -228,12 +237,52 @@ def test_multigraph_weights_sum_to_all_matchings(counts):
 
 
 def test_exact_law_cap_raises_before_any_census(monkeypatch):
-    def no_census(g, s):
+    def no_census(s, key):
         raise AssertionError("census ran before the cap check")
 
-    monkeypatch.setattr(oracle, "component_census", no_census)
+    monkeypatch.setattr(oracle, "_class_census", no_census)
     seq = degseq.from_counts({2: 9})  # ell = 18
     with pytest.raises(TooLarge, match=r"ell=18 exceeds the enumeration cap 16"):
         oracle.exact_law(seq, cap=16)
     with pytest.raises(TooLarge):
         oracle.enumerate_multigraphs(seq, cap=16)  # raises on the call itself
+
+
+# sha256 of `cmlab enumerate --counts C` stdout, recorded before the walk
+# tracked components; the report must not change by a byte
+ENUMERATE_SHA256 = {
+    "1:2,2:3,3:2": "1e72d6c78223bf3b8d393184632d6df94600d0a0a4860369c51c7d8dd13a2909",
+    "2:7": "dc61ad2f68e617683e9de245109a537ce9b5f0a3c7c80e89b536f60660ea0cf9",
+    "2:8": "88a37bc0218c30cff454634332e3e39e7f60e296bfbe98e83e1f8b194c883d9b",
+    "1:4,3:4": "48f1d2e13f592049db8f5db814f1e1774c691d43a7ea2ab8d6ed2830ba810426",
+    "4:4": "0edd2eab8bf6437bfc70e23a9c4f3bbdeb870fa4fc0edde79eac60d84af3de09",
+}
+
+
+@pytest.mark.parametrize("counts", ENUMERATE_SHA256)
+def test_enumerate_report_bytes_pinned(counts, capsys):
+    assert cli.run(["enumerate", "--counts", counts]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[counts]
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_all_degree_two_connected_closed_form(k):
+    """{2:k} is connected iff it is one k-cycle: 2^(k-1) (k-1)! of the
+    (2k-1)!! matchings. k = 9 lies above the default cap."""
+    law = oracle.exact_law(degseq.from_counts({2: k}), cap=2 * k)
+    assert law.p_connected == Fraction(2 ** (k - 1) * math.factorial(k - 1),
+                                       oracle.double_factorial_odd(2 * k))
+    if k == 7:
+        assert law.p_connected == Fraction(1024, 3003)
+
+
+def test_all_degree_one_at_the_cap_is_a_point_mass():
+    """{1:16}: every one of the 2,027,025 matchings is its own multigraph,
+    eight two-vertex lines; the giant is one of them."""
+    law = oracle.exact_law(degseq.from_counts({1: 16}))
+    assert law.total_matchings == 2_027_025
+    assert len(law.joint_pmf) == 1
+    assert law.prob("L2", 8) == law.prob("complement", 14) == 1
+    assert law.p_simple == 1
+    assert law.p_connected == 0
