@@ -26,6 +26,8 @@ one breadth-first search from a maximum-degree vertex covers the giant in
 the usual case, and only the vertices it did not reach are labelled: by
 the union-find when there are at most _UNION_FIND_MAX_N of them, else by
 scipy's connected_components, whose equal components share one row.
+scipy is imported there, on the first such graph, not with the module:
+the import costs more than the whole exact oracle, which never needs it.
 Outside the window a search can miss most of the graph, and the Python
 loop would take about 2 us a vertex. The searched component's counts are
 the sequence totals minus theirs.
@@ -41,14 +43,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .degseq import DegreeSequence
 from .errors import DegreeMismatch
 from .generator import Multigraph, Seed, _as_generator
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 # Up to this vertex count the plain-Python union-find labels a graph, or
 # what a search missed, faster than numpy and scipy do. On sampled window
@@ -216,6 +220,10 @@ def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
 
 def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
     """The census from one search, with labels for what it missed."""
+    # local: only graphs above _UNION_FIND_MAX_N need scipy, whose import is slow
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     n = seq.n
     ends = seq.half_edge_owners[pairing]
     cols = np.empty(seq.ell, dtype=np.int32)
@@ -272,6 +280,9 @@ def _sparse_rows(adj: csr_matrix, deg: np.ndarray, vertex: np.ndarray) -> list[R
     """_components's rows, unordered, from scipy's labels, of the graph
     `adj` whose vertex i is `vertex[i]` (ascending) and has degree
     `deg[i]`; equal components share one row."""
+    # local, as in _census_search: only graphs above _UNION_FIND_MAX_N get here
+    from scipy.sparse.csgraph import connected_components
+
     # "weak" on a symmetric matrix is undirected connectivity; scipy's
     # "strong" mode does not return on a matrix with duplicate entries
     _, labels = connected_components(adj, directed=True, connection="weak")

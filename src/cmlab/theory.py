@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .degseq import DegreeSequence, LimitParams
 from .errors import InfeasibleProduct, NuInfinite, SeriesDivergence
@@ -218,8 +217,13 @@ def log_double_factorial_odd(ell: int) -> float:
     """log((ell-1)!!) for even ell, via log-gamma.
 
     (ell-1)!! = ell! / (2^(ell/2) (ell/2)!) counts the pairings of ell
-    half-edges.
+    half-edges. scipy's gammaln is imported on the first call, not with
+    the module; math.lgamma differs from it in the last bits, so it would
+    change the reports.
     """
+    # local: only the log-counts need scipy, whose import is slow
+    from scipy.special import gammaln
+
     if ell % 2 != 0 or ell < 0:
         raise ValueError(f"ell must be even and >= 0, got {ell}")
     half = ell // 2
@@ -227,7 +231,13 @@ def log_double_factorial_odd(ell: int) -> float:
 
 
 def log_count_simple(seq: DegreeSequence, p: LimitParams) -> float:
-    """Natural log of the asymptotic count of simple graphs with these degrees."""
+    """Natural log of the asymptotic count of simple graphs with these degrees.
+
+    Imports scipy's gammaln on the first call, like log_double_factorial_odd.
+    """
+    # local, as in log_double_factorial_odd: only the log-counts need scipy
+    from scipy.special import gammaln
+
     _require_finite_nu(p)
     log_fact = sum(m * float(gammaln(deg + 1)) for deg, m in seq.counts.items())
     return (
