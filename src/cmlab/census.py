@@ -31,8 +31,10 @@ the import costs more than the whole exact oracle, which never needs it.
 Outside the window a search can miss most of the graph, and the Python
 loop would take about 2 us a vertex. The searched component's counts are
 the sequence totals minus theirs.
-Self-loops and parallel edges the union-find did not see are counted by
-one sort of the vertex-pair keys.
+Self-loops and parallel edges of the whole graph are counted by one sort
+of the vertex-pair keys; no edge joins the two sides, so the leftover's
+are among them. The ell-sized working arrays of this path can be made
+once (CensusBuffers) and handed to every census of a sequence's graphs.
 
 Either way the giant is chosen among all components by size and lowest
 vertex id, which is exact whichever component the search happened to
@@ -124,21 +126,24 @@ def is_simple(c: ComponentCensus) -> bool:
     return c.self_loops == 0 and c.multi_edges == 0
 
 
-def component_census(g: Multigraph, degrees: DegreeSequence) -> ComponentCensus:
+def component_census(g: Multigraph, degrees: DegreeSequence,
+                     buffers: CensusBuffers | None = None) -> ComponentCensus:
     """Classify all components of `g` against its prescribed degrees.
 
     The largest component breaks size ties by lowest minimum vertex id.
     Cycles and lines are counted over all components, including the
     largest. A graph sampled from `degrees` is trusted; any other graph
     has its realized degrees checked first and raises DegreeMismatch if
-    they disagree with the sequence.
+    they disagree with the sequence. `buffers`, made for `degrees`, hold
+    the working arrays of a graph above _UNION_FIND_MAX_N vertices;
+    without them the census allocates its own.
     """
     if g.owners is not degrees.half_edge_owners:
         _check_degrees(g, degrees)
     if degrees.n <= _UNION_FIND_MAX_N:
         ends = degrees.half_edge_owners[g.pairing]
         return _classify(degrees, *_components(degrees.degrees, ends))
-    return _census_search(degrees, g.pairing)
+    return _census_search(degrees, g.pairing, buffers)
 
 
 def _components(deg: np.ndarray, ends: np.ndarray) -> tuple[int, int, list[Row]]:
@@ -218,26 +223,49 @@ def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
     )
 
 
-def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
+class CensusBuffers:
+    """The ell-sized working arrays of a census above _UNION_FIND_MAX_N
+    vertices, for graphs of one sequence.
+
+    A census given these writes into them instead of allocating its own,
+    so a run of many censuses allocates them once: freeing megabytes each
+    census would hand their pages back to the system, and the next census
+    would fault them in again. One set serves one thread at a time.
+    """
+
+    def __init__(self, seq: DegreeSequence):
+        half = seq.ell // 2
+        self.ends = np.empty((half, 2), dtype=np.int32)  # owners of each pair
+        self.cols = np.empty(seq.ell, dtype=np.int32)  # the adjacency's columns
+        self.keys = np.empty(half, dtype=np.int64)  # the sorted vertex-pair keys
+        self.mask = np.empty(half, dtype=bool)
+
+
+def _census_search(seq: DegreeSequence, pairing: np.ndarray,
+                   buffers: CensusBuffers | None) -> ComponentCensus:
     """The census from one search, with labels for what it missed."""
     # local: only graphs above _UNION_FIND_MAX_N need scipy, whose import is slow
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
+    if buffers is None:
+        buffers = CensusBuffers(seq)
     n = seq.n
-    ends = seq.half_edge_owners[pairing]
-    cols = np.empty(seq.ell, dtype=np.int32)
+    # every id in a pairing is below ell, so "clip" never clips; mode
+    # "raise" would fill a temporary copy of `out` first
+    ends = np.take(seq.half_edge_owners, pairing, out=buffers.ends, mode="clip")
+    cols = buffers.cols
     cols[pairing[:, 0]] = ends[:, 1]
     cols[pairing[:, 1]] = ends[:, 0]
     # int32 indices and float64 data are what scipy's graph routines use
-    # internally; any other dtype is copied on every call
-    adj = csr_matrix((np.ones(seq.ell), cols, seq.half_edge_offsets), shape=(n, n))
+    # internally; any other dtype is copied on every call. Every entry is
+    # 1.0, so the data is one float broadcast to ell entries
+    adj = csr_matrix((np.broadcast_to(1.0, seq.ell), cols, seq.half_edge_offsets),
+                     shape=(n, n))
     # the matrix is symmetric, so a directed search covers the component
     reached = breadth_first_order(adj, int(np.argmax(seq.degrees)), directed=True,
                                   return_predecessors=False)
-    self_loops = multi_edges = 0
     rows: list[Row] = []
-    counted = slice(None)  # the pairs whose loops and parallel edges numpy counts
     if len(reached) < n:
         unreached = np.ones(n, dtype=bool)
         unreached[reached] = False
@@ -247,28 +275,33 @@ def _census_search(seq: DegreeSequence, pairing: np.ndarray) -> ComponentCensus:
             # selects rows about ten times faster than a boolean index
             out = unreached[ends[:, 0]]
             local = np.searchsorted(rest, np.compress(out, ends, axis=0))
-            self_loops, multi_edges, rows = _components(seq.degrees[rest], local)
+            # its loops and parallel edges are counted with all the others below
+            _, _, rows = _components(seq.degrees[rest], local)
             vertex = rest.tolist()
             rows = [(vertex[r], *counts) for r, *counts in rows]
-            counted = ~out
         else:
             rows = _sparse_rows(adj[rest][:, rest], seq.degrees[rest], rest)
-    del adj, cols  # about 3 MB at n = 1e5, freed before the pair keys are sorted
 
-    a, b = ends[:, 0][counted], ends[:, 1][counted]
-    self_loops += int(np.count_nonzero(a == b))
-    key = np.minimum(a, b).astype(np.int64)
+    # self-loops and parallel edges of the whole graph, by one sort of the
+    # vertex-pair keys min * n + max
+    a, b = ends[:, 0], ends[:, 1]
+    self_loops = int(np.count_nonzero(np.equal(a, b, out=buffers.mask)))
+    key = np.minimum(a, b, out=buffers.keys)
     key *= n
-    key += np.maximum(a, b)
+    # the columns are spent once the labels are known: their first half
+    # holds the larger ends
+    key += np.maximum(a, b, out=cols[:len(key)])
     key.sort()
-    repeats = key[1:][key[1:] == key[:-1]]
+    same = np.equal(key[1:], key[:-1], out=buffers.mask[1:])
+    repeats = key[1:][same]
     # a self-loop at v has the key v*(n+1), which no other edge has; loops
     # at one vertex are not parallel edges
     repeats = repeats[repeats % (n + 1) != 0]
+    multi_edges = 0
     if len(repeats):
         # a pair joined by m parallel edges repeats m-1 times: C(m, 2) pairs
         _, extra = np.unique(repeats, return_counts=True)
-        multi_edges += int((extra * (extra + 1) // 2).sum())
+        multi_edges = int((extra * (extra + 1) // 2).sum())
 
     rows.append((int(reached.min()), len(reached), seq.n1 - sum(r[2] * r[4] for r in rows),
                  seq.n2 - sum(r[3] * r[4] for r in rows), 1))

@@ -97,22 +97,46 @@ class Multigraph:
 
 
 def sample_pairing(
-    seq: DegreeSequence, seed: Seed | np.random.Generator | int
+    seq: DegreeSequence, seed: Seed | np.random.Generator | int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw a uniform perfect matching of the half-edges.
 
     Returns an (ell/2, 2) array of half-edge ids: a single uniform shuffle,
     paired at positions (2i, 2i+1). Deterministic given the seed.
+
+    With `out`, an int64 array of ell entries, the shuffle runs in it and
+    the result is a view of it: the same ids `rng.permutation(ell)` gives,
+    whatever `out` held before, with no allocation. A caller drawing many
+    pairings of one sequence passes one buffer to all of them.
     """
     rng = _as_generator(seed)
-    perm = rng.permutation(seq.ell)
+    if out is None:
+        perm = rng.permutation(seq.ell)
+    else:
+        if out.shape != (seq.ell,) or out.dtype != np.int64:
+            raise ValueError(f"out must be an int64 array of {seq.ell} entries")
+        # permutation(ell) is arange(ell) shuffled. arange would allocate,
+        # so the ids are written in place: each step writes the next block
+        # as the ids before it plus their count, one vectorised add a
+        # doubling (np.cumsum, also in place, is six times slower)
+        perm = out
+        perm[:1] = 0
+        done = 1
+        while done < len(perm):
+            block = perm[done:2 * done]
+            np.add(perm[:len(block)], done, out=block)
+            done *= 2
+        rng.shuffle(perm)
     return perm.reshape(-1, 2)
 
 
-def sample(seq: DegreeSequence, seed: Seed | np.random.Generator | int) -> Multigraph:
-    """Sample a uniform half-edge pairing as a multigraph of `seq`."""
+def sample(seq: DegreeSequence, seed: Seed | np.random.Generator | int,
+           out: np.ndarray | None = None) -> Multigraph:
+    """Sample a uniform half-edge pairing as a multigraph of `seq`; `out`
+    is sample_pairing's buffer, so the graph lives only until its next use."""
     return Multigraph(n=seq.n, owners=seq.half_edge_owners,
-                      pairing=sample_pairing(seq, seed))
+                      pairing=sample_pairing(seq, seed, out))
 
 
 # ---------------------------------------------------------------------------

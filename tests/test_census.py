@@ -244,6 +244,38 @@ def test_search_path_hands_small_leftover_to_union_find(monkeypatch):
         assert census.component_census(g, s) == reference_census(g, s)
 
 
+def test_reused_buffers_equal_fresh_census():
+    """One pairing buffer and one set of census buffers per sequence, reused
+    graph after graph, give the fresh-buffer census and the reference: on
+    window graphs (a search misses a few lines and cycles), on leftovers
+    above 128 vertices (scipy labels them) and on a graph whose search
+    starts outside the giant."""
+    raw, rows, _ = _BIG_CASES["search_starts_outside_giant"]
+    hand_made = degseq.validate(raw)
+    for s in (degseq.build_sequence(2000, 1.0, 0.3, 3), degseq.from_counts({1: 400, 2: 300}),
+              hand_made):
+        perm = np.empty(s.ell, dtype=np.int64)
+        buffers = census.CensusBuffers(s)
+        outcomes = set()
+        for i in range(8):
+            c = census.component_census(
+                generator.sample(s, generator.Seed(17, i), out=perm), s, buffers)
+            fresh = generator.sample(s, generator.Seed(17, i))
+            assert c == census.component_census(fresh, s) == reference_census(fresh, s)
+            outcomes.add((c.complement, c.self_loops, c.multi_edges))
+        # the graphs differ, so stale buffers would show
+        assert len(outcomes) > 1
+        if s.counts == {1: 400, 2: 300}:
+            # the searched component is at most the giant, so the search
+            # missed more than 128 vertices
+            assert min(complement for complement, _, _ in outcomes) > 128
+    # the buffers last held a sampled graph of the sequence
+    g = _graph(hand_made.n, rows)
+    c = census.component_census(g, hand_made, buffers)
+    assert c == reference_census(g, hand_made)
+    assert c.giant_size == 298
+
+
 def test_census_paths_agree_on_every_small_multigraph(monkeypatch):
     """Every multigraph of every degree multiset with ell <= 10: the
     union-find census equals the search-path census and the reference."""

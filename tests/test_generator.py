@@ -58,6 +58,27 @@ def test_streams_differ():
     assert not np.array_equal(a, b)
 
 
+def test_pairing_buffer_gives_the_fresh_pairing():
+    """One buffer reused for consecutive streams, each time still holding
+    the previous permutation, gives the pairing a fresh draw gives."""
+    s = degseq.from_counts({1: 40, 2: 30, 3: 30})
+    buf = np.empty(s.ell, dtype=np.int64)
+    for i in range(6):
+        pairing = generator.sample_pairing(s, generator.Seed(5, i), out=buf)
+        assert np.shares_memory(pairing, buf)
+        assert np.array_equal(pairing, generator.sample_pairing(s, generator.Seed(5, i)))
+        g = generator.sample(s, generator.Seed(5, i), out=buf)
+        assert np.array_equal(g.edges, generator.sample(s, generator.Seed(5, i)).edges)
+
+
+@pytest.mark.parametrize("buf", [np.empty(10, dtype=np.int64), np.empty(11, dtype=np.int64),
+                                 np.empty(12, dtype=np.int32)])
+def test_pairing_buffer_of_wrong_size_or_type_rejected(buf):
+    s = degseq.validate([2, 2, 3, 3, 2])
+    with pytest.raises(ValueError, match="int64 array of 12 entries"):
+        generator.sample_pairing(s, generator.Seed(1), out=buf)
+
+
 def test_seed_range_validated():
     with pytest.raises(ValueError):
         generator.Seed(-1)
