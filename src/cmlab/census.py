@@ -14,8 +14,8 @@ component) into the census. A plain-Python union-find over the vertex
 pairs labels a graph of up to _UNION_FIND_MAX_N = 128 vertices; it also
 counts self-loops and, in a dict keyed on the vertex pair, parallel
 edges. At that size a numpy or scipy call costs more than the work it
-does, and the exact oracle, whose graphs have a handful of vertices, runs
-the census once per multigraph.
+does. The exact oracle builds no graph: it hands _classify rows of its
+own.
 
 A larger graph gets an adjacency matrix straight from the pairing: its
 row pointer is the sequence's half-edge offsets, and the column of
@@ -194,8 +194,9 @@ def _components(deg: np.ndarray, ends: np.ndarray) -> tuple[int, int, list[Row]]
 
 def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
               rows: list[Row]) -> ComponentCensus:
-    """The census of `seq`'s graph from its component rows, given in
-    ascending order of lowest vertex as _components returns them."""
+    """The census of `seq`'s graph from its component rows. The giant is
+    the first row of largest size, so the rows come in ascending order of
+    lowest vertex, as _components returns them, or with the giant first."""
     giant = max(rows, key=itemgetter(1))  # the first maximum: lowest vertex
     cycle_counts: dict[int, int] = {}
     line_counts: dict[int, int] = {}

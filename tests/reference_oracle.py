@@ -1,11 +1,13 @@
-"""Matching-walk oracle kept as a test-only reference for cmlab.oracle.
+"""Graph walks kept as test-only references for cmlab.oracle.
 
-It walks every one of the (ell-1)!! half-edge matchings, runs the census
-on each (cached by the multigraph's sorted owner pairs) and counts each
-matching once, the slow and direct way. exact_law must agree with it
-exactly on every sequence.
+reference_law walks every one of the (ell-1)!! half-edge matchings, runs
+the census on each (cached by the multigraph's sorted owner pairs) and
+counts each matching once, the slow and direct way. exact_law must agree
+with it exactly on every sequence. enumerate_multigraphs walks each
+multigraph once, with its weight.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -17,10 +19,61 @@ from cmlab.oracle import (
     HALF_EDGE_CAP,
     CensusKey,
     ExactLaw,
+    _check_cap,
     _key_value,
     census_key,
     enumerate_matchings,
 )
+
+
+def enumerate_multigraphs(seq, cap: int = HALF_EDGE_CAP):
+    """Every multigraph with the degrees of `seq` exactly once, as (its
+    pairing, the number of matchings that induce it).
+
+    The walk joins a free half-edge of the lowest vertex u that has one
+    to a vertex v >= u, no lower than u's previous partner (v = u takes
+    two), so the edges come out in lexicographic order of their (lower,
+    upper) vertex pair and each multiset of edges once. Each end takes
+    the next free half-edge id of its vertex. A run of r equal partners
+    multiplies the weight's denominator by r (by 2r for a self-loop),
+    which builds up Bollobas's prod m_uv! * prod 2^l_v l_v!. Raises
+    TooLarge, on the call itself, when ell exceeds `cap`.
+    """
+    _check_cap(seq, cap)
+    n = seq.n
+    degrees = seq.degrees.tolist()
+    free = list(degrees)
+    end = seq.half_edge_offsets[1:].tolist()  # one past each vertex's last id
+    numerator = math.prod(math.factorial(d) for d in degrees)
+    pairs = []
+
+    def rec(u, last, run, denom):
+        if free[u] == 0:  # u is done: go on to the next vertex with a free half-edge
+            while u < n and free[u] == 0:
+                u += 1
+            if u == n:
+                yield np.array(pairs), numerator // denom
+                return
+            last, run = u, 0
+        hu = end[u] - free[u]
+        for v in range(last, n):
+            r = run + 1 if v == last else 1
+            if v == u and free[u] >= 2:
+                free[u] -= 2
+                pairs.append((hu, hu + 1))
+                yield from rec(u, v, r, denom * 2 * r)
+                pairs.pop()
+                free[u] += 2
+            elif v != u and free[v]:
+                free[u] -= 1
+                pairs.append((hu, end[v] - free[v]))
+                free[v] -= 1
+                yield from rec(u, v, r, denom * r)
+                pairs.pop()
+                free[v] += 1
+                free[u] += 1
+
+    return rec(0, 0, 0, 1)
 
 
 def reference_law(seq, cap: int = HALF_EDGE_CAP) -> ExactLaw:

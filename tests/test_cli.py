@@ -361,8 +361,8 @@ def test_console_entry_point():
 
 #: wall-time bound of one cli.run call in the property test below; the
 #: slowest of 300 drawn calls took 0.07 s on a 2-core machine, and the
-#: slowest input in the domain, enumerate {1: 12}, 0.34 s, so the bound
-#: leaves room for a slow runner and still catches a hang
+#: slowest enumerate input in the domain, --degrees 2,4,2,3,1,4, 0.02 s,
+#: so the bound leaves room for a slow runner and still catches a hang
 ARGV_WALL_BOUND_S = 20.0
 
 
@@ -429,10 +429,7 @@ def _argv(draw):
     elif command == "theory":
         options = draw(st.one_of(_SOURCE, _THEORY))
     elif command == "enumerate":
-        # at the default cap of 16 half-edges {1: 16} has 2,027,025
-        # multigraphs and takes about 6 s, too long to draw often; at 12,
-        # {1: 12} has 10,395
-        options = draw(_SOURCE) + ["--cap", "12"]
+        options = draw(_SOURCE)
     elif command == "simulate":
         options = draw(st.one_of(_SOURCE, _BUILD)) + draw(_RUN)
     else:

@@ -1,16 +1,17 @@
 import hashlib
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cmlab import cli, degseq, generator, oracle, theory
+from cmlab import census, cli, degseq, generator, oracle, theory
 from cmlab.census import component_census
 from cmlab.errors import TooLarge
 from cmlab.oracle import census_key
-from reference_oracle import reference_law
+from reference_oracle import enumerate_multigraphs, reference_law
 
 
 def test_double_factorial():
@@ -175,9 +176,13 @@ SMALL_MULTISETS = [p for ell in range(2, 11, 2) for p in _partitions(ell)]
 
 @pytest.mark.parametrize("degrees", SMALL_MULTISETS, ids=str)
 def test_exact_law_equals_matching_walk_small(degrees):
-    """Weighted multigraphs give the very law of the matching walk, with
-    the vertices laid out in descending and in ascending degree order."""
-    for seq in (degseq.validate(degrees), degseq.validate(degrees[::-1])):
+    """The counted law is the very law of the matching walk, with the
+    vertices laid out in descending, ascending and one shuffled order:
+    the order enters only through the giant's tie-break."""
+    shuffled = list(degrees)
+    random.Random(str(degrees)).shuffle(shuffled)
+    for order in (degrees, degrees[::-1], shuffled):
+        seq = degseq.validate(order)
         assert oracle.exact_law(seq) == reference_law(seq)
 
 
@@ -191,36 +196,50 @@ def test_exact_law_equals_matching_walk(counts):
     assert oracle.exact_law(seq) == reference_law(seq)
 
 
+def _summary(seq, pairing):
+    """A multigraph's summary: self-loops, parallel-edge pairs, the
+    giant's signature (the first largest component in lowest-vertex
+    order) and the other signatures, sorted."""
+    loops, multi, rows = census._components(seq.degrees, seq.half_edge_owners[pairing])
+    giant = max(rows, key=lambda row: row[1])
+    others = tuple(sorted(row[1:4] for row in rows if row is not giant))
+    return loops, multi, giant[1:4], others
+
+
 @pytest.mark.parametrize(
     "counts,graphs",
     [({1: 2, 2: 3, 3: 2}, 1265), ({2: 7}, 2461), ({2: 2}, 2), ({3: 2}, 2)],
     ids=str,
 )
 def test_one_census_per_multigraph(counts, graphs, monkeypatch):
-    """Each multigraph comes out once, its walk class fixes its census,
-    and exact_law classifies each class once."""
+    """Each multigraph comes out of the reference walk once, its summary
+    fixes its census, and exact_law classifies each distinct summary
+    once."""
     seq = degseq.from_counts(counts)
-    found = list(oracle.enumerate_multigraphs(seq))
+    found = list(enumerate_multigraphs(seq))
     assert len(found) == graphs
     assert len({tuple(sorted(map(tuple, seq.half_edge_owners[p].tolist())))
                 for p, _ in found}) == graphs
-    keys = set()
-    for pairs, _, key in oracle._walk(seq, oracle.HALF_EDGE_CAP):
-        g = generator.Multigraph(n=seq.n, owners=seq.half_edge_owners,
-                                 pairing=np.array(pairs))
-        assert census_key(component_census(g, seq)) == oracle._class_census(seq, key)
-        keys.add(key)
+    summaries = set()
+    for pairing, _ in found:
+        loops, multi, giant, others = key = _summary(seq, pairing)
+        rows = [(0, *giant, 1)] + [(i, *sig, 1) for i, sig in enumerate(others, 1)]
+        g = generator.Multigraph(n=seq.n, owners=seq.half_edge_owners, pairing=pairing)
+        assert census_key(component_census(g, seq)) == census_key(
+            census._classify(seq, loops, multi, rows))
+        summaries.add(key)
 
     calls = []
-    classify = oracle._class_census
+    classify = oracle._classify
 
-    def counting_classify(s, key):
-        calls.append(key)
-        return classify(s, key)
+    def counting_classify(s, loops, multi, rows):
+        assert all(row[4] == 1 for row in rows)
+        calls.append((loops, multi, rows[0][1:4], tuple(sorted(r[1:4] for r in rows[1:]))))
+        return classify(s, loops, multi, rows)
 
-    monkeypatch.setattr(oracle, "_class_census", counting_classify)
+    monkeypatch.setattr(oracle, "_classify", counting_classify)
     oracle.exact_law(seq)
-    assert sorted(calls) == sorted(keys)
+    assert sorted(calls) == sorted(summaries)
 
 
 @pytest.mark.parametrize(
@@ -231,31 +250,50 @@ def test_one_census_per_multigraph(counts, graphs, monkeypatch):
 )
 def test_multigraph_weights_sum_to_all_matchings(counts):
     seq = degseq.from_counts(counts)
-    weights = [w for _, w in oracle.enumerate_multigraphs(seq)]
+    weights = [w for _, w in enumerate_multigraphs(seq)]
     assert all(w >= 1 for w in weights)
     assert sum(weights) == oracle.double_factorial_odd(seq.ell)
 
 
 def test_exact_law_cap_raises_before_any_census(monkeypatch):
-    def no_census(s, key):
-        raise AssertionError("census ran before the cap check")
+    def no_count(*args):
+        raise AssertionError("counting began before the cap check")
 
-    monkeypatch.setattr(oracle, "_class_census", no_census)
+    monkeypatch.setattr(oracle, "_summaries", no_count)
     seq = degseq.from_counts({2: 9})  # ell = 18
     with pytest.raises(TooLarge, match=r"ell=18 exceeds the enumeration cap 16"):
         oracle.exact_law(seq, cap=16)
-    with pytest.raises(TooLarge):
-        oracle.enumerate_multigraphs(seq, cap=16)  # raises on the call itself
 
 
-# sha256 of `cmlab enumerate --counts C` stdout, recorded before the walk
-# tracked components; the report must not change by a byte
+def test_exact_law_keeps_no_tables_between_calls(monkeypatch):
+    """A second call on the same sequence counts everything again."""
+    calls = []
+    matchings = oracle._matchings
+
+    def counting_matchings(free, memo):
+        calls.append(free)
+        return matchings(free, memo)
+
+    monkeypatch.setattr(oracle, "_matchings", counting_matchings)
+    seq = degseq.from_counts({1: 2, 2: 3, 3: 2})
+    first = oracle.exact_law(seq)
+    ran = len(calls)
+    assert ran > 0
+    assert oracle.exact_law(seq) == first
+    assert len(calls) == 2 * ran
+
+
+# sha256 of `cmlab enumerate --counts C` stdout, recorded while exact_law
+# still walked every multigraph; the report must not change by a byte. The
+# last two lie at ell = 16, where the two ways of counting differ most
 ENUMERATE_SHA256 = {
     "1:2,2:3,3:2": "1e72d6c78223bf3b8d393184632d6df94600d0a0a4860369c51c7d8dd13a2909",
     "2:7": "dc61ad2f68e617683e9de245109a537ce9b5f0a3c7c80e89b536f60660ea0cf9",
     "2:8": "88a37bc0218c30cff454634332e3e39e7f60e296bfbe98e83e1f8b194c883d9b",
     "1:4,3:4": "48f1d2e13f592049db8f5db814f1e1774c691d43a7ea2ab8d6ed2830ba810426",
     "4:4": "0edd2eab8bf6437bfc70e23a9c4f3bbdeb870fa4fc0edde79eac60d84af3de09",
+    "1:16": "62903525c51afab1a4fdb8acbf4d38ccb31849c337b5fad8e2ce9e02d0d5477e",
+    "1:8,2:4": "758a37e29bd9ad4d7e429c3a849422e96486fc84a7e97430296a2c15234be31a",
 }
 
 
@@ -266,15 +304,26 @@ def test_enumerate_report_bytes_pinned(counts, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[counts]
 
 
-@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("k", range(2, 13))
 def test_all_degree_two_connected_closed_form(k):
     """{2:k} is connected iff it is one k-cycle: 2^(k-1) (k-1)! of the
-    (2k-1)!! matchings. k = 9 lies above the default cap."""
+    (2k-1)!! matchings. k >= 9 lies above the default cap, and {2:12}
+    has 171,453,343 multigraphs."""
     law = oracle.exact_law(degseq.from_counts({2: k}), cap=2 * k)
     assert law.p_connected == Fraction(2 ** (k - 1) * math.factorial(k - 1),
                                        oracle.double_factorial_odd(2 * k))
     if k == 7:
         assert law.p_connected == Fraction(1024, 3003)
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_single_path_connected_closed_form(k):
+    """{1:2, 2:k} is connected iff it is one path through all k degree-2
+    vertices: k! orders times 2^k ways to enter each, of the (2k+1)!!
+    matchings."""
+    law = oracle.exact_law(degseq.validate([1, 1] + [2] * k), cap=2 * k + 2)
+    assert law.p_connected == Fraction(math.factorial(k) * 2 ** k,
+                                       oracle.double_factorial_odd(2 * k + 2))
 
 
 def test_all_degree_one_at_the_cap_is_a_point_mass():
