@@ -30,7 +30,7 @@ from .montecarlo import (
     run_experiment,
     sweep,
 )
-from .oracle import ExactLaw, enumerate_matchings, exact_factorial_moment, exact_law
+from .oracle import ExactLaw, enumerate_matchings, exact_law
 from .theory import (
     Prediction,
     boundary_p_connected,
@@ -64,7 +64,6 @@ __all__ = [
     "complement_pmf",
     "component_census",
     "enumerate_matchings",
-    "exact_factorial_moment",
     "exact_law",
     "expected_complement",
     "is_connected",

@@ -4,7 +4,8 @@ reference_law walks every one of the (ell-1)!! half-edge matchings, runs
 the census on each (cached by the multigraph's sorted owner pairs) and
 counts each matching once, the slow and direct way. exact_law must agree
 with it exactly on every sequence. enumerate_multigraphs walks each
-multigraph once, with its weight.
+multigraph once, with its weight. exact_factorial_moment reads joint
+factorial moments off an exact law.
 """
 
 import math
@@ -23,6 +24,7 @@ from cmlab.oracle import (
     _key_value,
     census_key,
     enumerate_matchings,
+    exact_law,
 )
 
 
@@ -111,3 +113,35 @@ def reference_law(seq, cap: int = HALF_EDGE_CAP) -> ExactLaw:
         },
         joint_pmf=joint,
     )
+
+
+def _falling_factorial(x: int, r: int) -> int:
+    out = 1
+    for i in range(r):
+        out *= x - i
+    return out
+
+
+def exact_factorial_moment(
+    seq,
+    orders: dict[str, int],
+    law: ExactLaw | None = None,
+    cap: int = HALF_EDGE_CAP,
+) -> Fraction:
+    """Exact E[prod_stat (X_stat)_r] over the enumeration law.
+
+    (X)_r is the falling factorial X(X-1)...(X-r+1); the empty product
+    (no orders) is 1. Pass a precomputed `law` to skip re-enumeration.
+    """
+    for stat, r in orders.items():
+        if r < 0:
+            raise ValueError(f"order for {stat} must be >= 0, got {r}")
+    if law is None:
+        law = exact_law(seq, cap=cap)
+    total = Fraction(0)
+    for key, p in law.joint_pmf.items():
+        prod = 1
+        for stat, r in orders.items():
+            prod *= _falling_factorial(_key_value(key, stat), r)
+        total += p * prod
+    return total

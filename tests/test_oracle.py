@@ -11,7 +11,7 @@ from cmlab import census, cli, degseq, generator, oracle, theory
 from cmlab.census import component_census
 from cmlab.errors import TooLarge
 from cmlab.oracle import census_key
-from reference_oracle import enumerate_multigraphs, reference_law
+from reference_oracle import enumerate_multigraphs, exact_factorial_moment, reference_law
 
 
 def test_double_factorial():
@@ -98,19 +98,19 @@ def test_line2_probability_matches_exact_product():
 def test_factorial_moments():
     seq = degseq.validate([2, 2])
     law = oracle.exact_law(seq)
-    assert oracle.exact_factorial_moment(seq, {"C1": 1}, law=law) == Fraction(2, 3)
-    assert oracle.exact_factorial_moment(seq, {"C1": 2}, law=law) == Fraction(2, 3)
-    assert oracle.exact_factorial_moment(seq, {}, law=law) == 1
-    assert oracle.exact_factorial_moment(seq, {"C1": 1, "S": 1}, law=law) == Fraction(
+    assert exact_factorial_moment(seq, {"C1": 1}, law=law) == Fraction(2, 3)
+    assert exact_factorial_moment(seq, {"C1": 2}, law=law) == Fraction(2, 3)
+    assert exact_factorial_moment(seq, {}, law=law) == 1
+    assert exact_factorial_moment(seq, {"C1": 1, "S": 1}, law=law) == Fraction(
         4, 3
     )  # only the two-self-loop outcome contributes: (1/3) * 2 * 2
-    mixed = oracle.exact_factorial_moment(seq, {"C2": 1, "M": 1}, law=law)
+    mixed = exact_factorial_moment(seq, {"C2": 1, "M": 1}, law=law)
     assert mixed == Fraction(2, 3)
 
 
 def test_factorial_moment_rejects_negative_order():
     with pytest.raises(ValueError):
-        oracle.exact_factorial_moment(degseq.validate([1, 1]), {"S": -1})
+        exact_factorial_moment(degseq.validate([1, 1]), {"S": -1})
 
 
 def _canonical_matching(perm):
@@ -213,33 +213,35 @@ def _summary(seq, pairing):
 )
 def test_one_census_per_multigraph(counts, graphs, monkeypatch):
     """Each multigraph comes out of the reference walk once, its summary
-    fixes its census, and exact_law classifies each distinct summary
-    once."""
+    fixes its census, and exact_law classifies each distinct component
+    structure (the giant's and the other signatures) once, with no
+    self-loops or parallel edges."""
     seq = degseq.from_counts(counts)
     found = list(enumerate_multigraphs(seq))
     assert len(found) == graphs
     assert len({tuple(sorted(map(tuple, seq.half_edge_owners[p].tolist())))
                 for p, _ in found}) == graphs
-    summaries = set()
+    structures = set()
     for pairing, _ in found:
-        loops, multi, giant, others = key = _summary(seq, pairing)
+        loops, multi, giant, others = _summary(seq, pairing)
         rows = [(0, *giant, 1)] + [(i, *sig, 1) for i, sig in enumerate(others, 1)]
         g = generator.Multigraph(n=seq.n, owners=seq.half_edge_owners, pairing=pairing)
         assert census_key(component_census(g, seq)) == census_key(
             census._classify(seq, loops, multi, rows))
-        summaries.add(key)
+        structures.add((giant, others))
 
     calls = []
     classify = oracle._classify
 
     def counting_classify(s, loops, multi, rows):
         assert all(row[4] == 1 for row in rows)
-        calls.append((loops, multi, rows[0][1:4], tuple(sorted(r[1:4] for r in rows[1:]))))
+        assert loops == multi == 0
+        calls.append((rows[0][1:4], tuple(sorted(r[1:4] for r in rows[1:]))))
         return classify(s, loops, multi, rows)
 
     monkeypatch.setattr(oracle, "_classify", counting_classify)
     oracle.exact_law(seq)
-    assert sorted(calls) == sorted(summaries)
+    assert sorted(calls) == sorted(structures)
 
 
 @pytest.mark.parametrize(
@@ -283,9 +285,11 @@ def test_exact_law_keeps_no_tables_between_calls(monkeypatch):
     assert len(calls) == 2 * ran
 
 
-# sha256 of `cmlab enumerate --counts C` stdout, recorded while exact_law
+# sha256 of `cmlab enumerate --counts C [--cap N]` stdout, recorded while exact_law
 # still walked every multigraph; the report must not change by a byte. The
-# last two lie at ell = 16, where the two ways of counting differ most
+# last two at the default cap lie at ell = 16, where the two ways of
+# counting differ most. The two with `--cap` lie beyond any walk's reach and
+# were recorded while exact_law counted per (S, M) summary
 ENUMERATE_SHA256 = {
     "1:2,2:3,3:2": "1e72d6c78223bf3b8d393184632d6df94600d0a0a4860369c51c7d8dd13a2909",
     "2:7": "dc61ad2f68e617683e9de245109a537ce9b5f0a3c7c80e89b536f60660ea0cf9",
@@ -294,14 +298,16 @@ ENUMERATE_SHA256 = {
     "4:4": "0edd2eab8bf6437bfc70e23a9c4f3bbdeb870fa4fc0edde79eac60d84af3de09",
     "1:16": "62903525c51afab1a4fdb8acbf4d38ccb31849c337b5fad8e2ce9e02d0d5477e",
     "1:8,2:4": "758a37e29bd9ad4d7e429c3a849422e96486fc84a7e97430296a2c15234be31a",
+    "3:10 --cap 30": "5fdc7852220d7feb2a1bef126876747a90f4a9396acd6f28ab545af52f80e115",
+    "1:2,2:4,3:6 --cap 28": "8d71abe51282f2a41b91c7c1184d5c0395d4afe513f65162b20983c54145e441",
 }
 
 
-@pytest.mark.parametrize("counts", ENUMERATE_SHA256)
-def test_enumerate_report_bytes_pinned(counts, capsys):
-    assert cli.run(["enumerate", "--counts", counts]) == 0
+@pytest.mark.parametrize("args", ENUMERATE_SHA256)
+def test_enumerate_report_bytes_pinned(args, capsys):
+    assert cli.run(["enumerate", "--counts", *args.split()]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[counts]
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[args]
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -335,3 +341,22 @@ def test_all_degree_one_at_the_cap_is_a_point_mass():
     assert law.prob("L2", 8) == law.prob("complement", 14) == 1
     assert law.p_simple == 1
     assert law.p_connected == 0
+
+
+@pytest.mark.parametrize(
+    "n,simple,connected",
+    [(4, 1, 1), (6, 70, 70), (8, 19355, 19320), (10, 11180820, 11166120)],
+)
+def test_cubic_simple_graph_counts(n, simple, connected):
+    """The labelled simple cubic graphs on n vertices (OEIS A002829) and
+    the connected ones (A004109), read off the law beyond the cap: each
+    simple graph is 6^n of the (3n-1)!! matchings."""
+    law = oracle.exact_law(degseq.from_counts({3: n}), cap=3 * n)
+    per_graph = Fraction(6 ** n, oracle.double_factorial_odd(3 * n))
+    assert law.p_simple / per_graph == simple
+    p_connected_simple = sum(
+        (p for key, p in law.joint_pmf.items()
+         if dict(key)["S"] == dict(key)["M"] == dict(key)["complement"] == 0),
+        Fraction(0),
+    )
+    assert p_connected_simple / per_graph == connected
