@@ -16,11 +16,9 @@ from .census import (
 from .degseq import (
     DegreeSequence,
     LimitParams,
-    WindowParams,
     build_sequence,
-    to_limit_params,
+    limit_params,
     validate,
-    window_params,
 )
 from .generator import Multigraph, Seed, sample
 from .montecarlo import (
@@ -58,7 +56,6 @@ __all__ = [
     "Multigraph",
     "Prediction",
     "Seed",
-    "WindowParams",
     "boundary_p_connected",
     "build_sequence",
     "complement_pmf",
@@ -70,6 +67,7 @@ __all__ = [
     "is_simple",
     "lambda_cycle",
     "lambda_line",
+    "limit_params",
     "log_count_connected_simple",
     "p_connected",
     "p_connected_given_simple",
@@ -80,9 +78,7 @@ __all__ = [
     "run_exploration",
     "sample",
     "sweep",
-    "to_limit_params",
     "validate",
-    "window_params",
 ]
 
 __version__ = "0.1.0"

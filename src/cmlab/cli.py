@@ -34,28 +34,31 @@ def _add_build_targets(group) -> None:
     group.add_argument("--bulk", type=int, default=3, help="build: bulk degree (>= 3)")
 
 
+def _add_pmf_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--x-max", type=int, default=theory.X_MAX)
+    parser.add_argument("--trunc-k", type=int, default=theory.TRUNC_K)
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replicates", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--condition-on-simple", action="store_true")
-    parser.add_argument("--x-max", type=int, default=50)
-    parser.add_argument("--trunc-k", type=int, default=60)
+    _add_pmf_options(parser)
     parser.add_argument("--threads", type=int, default=1)
 
 
-def _degree_list(text: str) -> list[int]:
-    """--degrees: comma-separated integer degrees."""
-    degrees = []
+def _int_list(text: str, flag: str, what: str, error: type[CmlabError]) -> list[int]:
+    """A comma-separated list of integers (empty items skipped); a bad item
+    raises `error` naming the flag and the item."""
+    values = []
     for item in text.split(","):
         if not item:
             continue
         try:
-            degrees.append(int(item))
+            values.append(int(item))
         except ValueError:
-            raise MalformedDegreeList(
-                f"--degrees: expected an integer degree, got {item!r}"
-            ) from None
-    return degrees
+            raise error(f"{flag}: expected an integer {what}, got {item!r}") from None
+    return values
 
 
 def _degree_counts(text: str) -> dict[int, int]:
@@ -82,7 +85,8 @@ def _resolve_sequence(args: argparse.Namespace) -> degseq.DegreeSequence:
             + (" / --n" if hasattr(args, "n") else "")
         )
     if args.degrees is not None:
-        return degseq.validate(_degree_list(args.degrees))
+        return degseq.validate(
+            _int_list(args.degrees, "--degrees", "degree", MalformedDegreeList))
     if args.counts is not None:
         return degseq.from_counts(_degree_counts(args.counts))
     if args.file is not None:
@@ -125,7 +129,7 @@ def _cmd_theory(args) -> int:
     seq = None
     if any(v is not None for v in (args.degrees, args.counts, args.file)):
         seq = _resolve_sequence(args)
-        params = degseq.to_limit_params(degseq.window_params(seq))
+        params = degseq.limit_params(seq)
     else:
         if None in (args.rho1, args.p2, args.d):
             raise CmlabError("theory needs --rho1/--p2/--d (with optional --nu) "
@@ -158,44 +162,22 @@ def _experiment_config(args, **source) -> montecarlo.ExperimentConfig:
     )
 
 
-def _build_targets(args, n: int) -> montecarlo.BuildTargets:
-    return montecarlo.BuildTargets(n=n, rho1=args.rho1, p2=args.p2, bulk_degree=args.bulk)
-
-
 def _cmd_simulate(args) -> int:
+    seq = _resolve_sequence(args)
     if args.n is None:
-        cfg = _experiment_config(args, seq=_resolve_sequence(args),
-                                 source=args.file or "inline")
-    elif any(v is not None for v in (args.degrees, args.counts, args.file)):
-        raise CmlabError("give either --n build targets or a degree source")
+        source = args.file or "inline"
     else:
-        cfg = _experiment_config(
-            args, targets=_build_targets(args, args.n),
-            source=f"build(n={args.n}, rho1={args.rho1}, p2={args.p2}, bulk={args.bulk})",
-        )
-    report = montecarlo.run_experiment(cfg)
+        source = f"build(n={args.n}, rho1={args.rho1}, p2={args.p2}, bulk={args.bulk})"
+    report = montecarlo.run_experiment(_experiment_config(args, seq=seq, source=source))
     _emit(report.to_json(), args.out)
     return 0
 
 
-def _n_values(text: str) -> list[int]:
-    """--n-values: comma-separated integer vertex counts."""
-    values = []
-    for item in text.split(","):
-        if not item:
-            continue
-        try:
-            values.append(int(item))
-        except ValueError:
-            raise CmlabError(
-                f"--n-values: expected an integer vertex count, got {item!r}"
-            ) from None
-    return values
-
-
 def _cmd_sweep(args) -> int:
-    template = _experiment_config(args, targets=_build_targets(args, 1))
-    table = montecarlo.sweep(template, _n_values(args.n_values))
+    targets = montecarlo.BuildTargets(n=1, rho1=args.rho1, p2=args.p2, bulk_degree=args.bulk)
+    template = _experiment_config(args, targets=targets)
+    n_values = _int_list(args.n_values, "--n-values", "vertex count", CmlabError)
+    table = montecarlo.sweep(template, n_values)
     _emit(table, args.csv)
     return 0
 
@@ -228,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=float)
     p.add_argument("--d", type=float)
     p.add_argument("--nu", type=float)
-    p.add_argument("--x-max", type=int, default=50)
-    p.add_argument("--trunc-k", type=int, default=60)
+    _add_pmf_options(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_theory)
 

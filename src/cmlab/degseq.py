@@ -26,8 +26,10 @@ from .errors import (
     ZeroOrNegativeDegree,
 )
 
-#: nu values above this cap are treated as infinite by to_limit_params.
+#: nu values above this cap are treated as infinite by limit_params.
 NU_CAP_DEFAULT = 1e6
+#: largest degree: degrees are stored as int32
+DEGREE_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -76,16 +78,6 @@ class DegreeSequence:
         if not isinstance(other, DegreeSequence):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.degrees, other.degrees)
-
-
-@dataclass(frozen=True)
-class WindowParams:
-    """Finite-n window ratios: n1/sqrt(n), n2/n, mean degree, nu."""
-
-    rho1_n: float
-    p2_n: float
-    d_n: float
-    nu_n: float
 
 
 @dataclass(frozen=True)
@@ -145,16 +137,25 @@ class LimitParams:
 def validate(raw_degrees) -> DegreeSequence:
     """Check degrees and build a DegreeSequence.
 
-    Every degree must be >= 1 and the total degree even (otherwise the
-    half-edges cannot be paired). Raises ZeroOrNegativeDegree or
-    OddTotalDegree.
+    Every degree must be an integer in 1..DEGREE_MAX and the total degree
+    even (otherwise the half-edges cannot be paired). Raises
+    ZeroOrNegativeDegree, naming the first vertex (0-based) above the
+    bound, or OddTotalDegree.
     """
     raw = np.asarray(raw_degrees)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ZeroOrNegativeDegree("degree sequence must be a nonempty 1-d array")
+    # before any cast: int64 would wrap a Python int beyond 2**63, and
+    # int32 anything beyond the bound
+    above = np.flatnonzero(raw > DEGREE_MAX)
+    if above.size:
+        v = int(above[0])
+        raise ZeroOrNegativeDegree(
+            f"vertex {v} has degree {raw[v]}, above the bound 2**31 - 1 = {DEGREE_MAX}"
+        )
     degrees = raw.astype(np.int64)
     if raw.dtype.kind not in "iu" and not np.array_equal(degrees, raw):
         raise ZeroOrNegativeDegree("degrees must be integers")
-    if degrees.ndim != 1 or degrees.size == 0:
-        raise ZeroOrNegativeDegree("degree sequence must be a nonempty 1-d array")
     if degrees.min() < 1:
         raise ZeroOrNegativeDegree(
             f"degrees must all be >= 1, found {int(degrees.min())}"
@@ -177,17 +178,21 @@ def from_counts(counts: dict[int, int]) -> DegreeSequence:
     return validate(np.concatenate(parts))
 
 
-def window_params(seq: DegreeSequence) -> WindowParams:
-    """Compute the four window ratios exactly from the cached counts.
+def limit_params(seq: DegreeSequence) -> LimitParams:
+    """The sequence's own window ratios, read as its limit parameters.
 
-    nu_n = E[D(D-1)]/E[D] = sum_i n_i*i*(i-1) / ell.
+    rho1 = n1/sqrt(n), p2 = n2/n, d = ell/n and nu = E[D(D-1)]/E[D] =
+    sum_i n_i*i*(i-1) / ell, computed exactly from the cached counts. nu
+    above NU_CAP_DEFAULT is flagged as infinite so the generic formulas
+    are never fed an effectively divergent second moment.
     """
     second = sum(m * deg * (deg - 1) for deg, m in seq.counts.items())
-    return WindowParams(
-        rho1_n=seq.n1 / math.sqrt(seq.n),
-        p2_n=seq.n2 / seq.n,
-        d_n=seq.ell / seq.n,
-        nu_n=second / seq.ell,
+    nu = second / seq.ell
+    return LimitParams(
+        rho1=seq.n1 / math.sqrt(seq.n),
+        p2=seq.n2 / seq.n,
+        d=seq.ell / seq.n,
+        nu=math.inf if nu > NU_CAP_DEFAULT else nu,
     )
 
 
@@ -243,16 +248,6 @@ def build_sequence(
             del counts[bulk_degree]
         counts[bulk_degree + 1] += 1
     return from_counts(dict(counts))
-
-
-def to_limit_params(w: WindowParams) -> LimitParams:
-    """Treat the finite-n ratios as their own limits for prediction purposes.
-
-    nu_n above NU_CAP_DEFAULT is flagged as infinite so the generic
-    formulas are never fed an effectively divergent second moment.
-    """
-    nu = math.inf if w.nu_n > NU_CAP_DEFAULT else w.nu_n
-    return LimitParams(rho1=w.rho1_n, p2=w.p2_n, d=w.d_n, nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ class CmlabError(Exception):
 
 
 class ZeroOrNegativeDegree(CmlabError):
-    """A degree sequence contains a degree below 1."""
+    """A degree sequence is not a nonempty list of integer degrees, or
+    holds one below 1 or above 2**31 - 1."""
 
 
 class OddTotalDegree(CmlabError):

@@ -106,29 +106,28 @@ def sample_pairing(
     paired at positions (2i, 2i+1). Deterministic given the seed.
 
     With `out`, an int64 array of ell entries, the shuffle runs in it and
-    the result is a view of it: the same ids `rng.permutation(ell)` gives,
-    whatever `out` held before, with no allocation. A caller drawing many
-    pairings of one sequence passes one buffer to all of them.
+    the result is a view of it, whatever `out` held before, with no
+    allocation: a caller drawing many pairings of one sequence passes one
+    buffer to all of them. Without it the buffer is allocated here. Either
+    way the ids are the ones `rng.permutation(ell)` gives.
     """
     rng = _as_generator(seed)
     if out is None:
-        perm = rng.permutation(seq.ell)
-    else:
-        if out.shape != (seq.ell,) or out.dtype != np.int64:
-            raise ValueError(f"out must be an int64 array of {seq.ell} entries")
-        # permutation(ell) is arange(ell) shuffled. arange would allocate,
-        # so the ids are written in place: each step writes the next block
-        # as the ids before it plus their count, one vectorised add a
-        # doubling (np.cumsum, also in place, is six times slower)
-        perm = out
-        perm[:1] = 0
-        done = 1
-        while done < len(perm):
-            block = perm[done:2 * done]
-            np.add(perm[:len(block)], done, out=block)
-            done *= 2
-        rng.shuffle(perm)
-    return perm.reshape(-1, 2)
+        out = np.empty(seq.ell, dtype=np.int64)
+    elif out.shape != (seq.ell,) or out.dtype != np.int64:
+        raise ValueError(f"out must be an int64 array of {seq.ell} entries")
+    # permutation(ell) is arange(ell) shuffled. arange would allocate, so
+    # the ids are written in place: each step writes the next block as the
+    # ids before it plus their count, one vectorised add a doubling
+    # (np.cumsum, also in place, is six times slower)
+    out[:1] = 0
+    done = 1
+    while done < len(out):
+        block = out[done:2 * done]
+        np.add(out[:len(block)], done, out=block)
+        done *= 2
+    rng.shuffle(out)
+    return out.reshape(-1, 2)
 
 
 def sample(seq: DegreeSequence, seed: Seed | np.random.Generator | int,

@@ -2,7 +2,7 @@
 
 Replicate i draws its graph from Seed(master_seed, i), so results are a
 pure function of the configuration. Every reported statistic is one entry
-of an ordered table (`_stats`): its name, the integer it reads from each
+of an ordered table (`_STATS`): its name, the integer it reads from each
 replicate's census, and its theory value. The replicates are split into
 at most `threads` contiguous ranges; each range adds its integers into its
 own fixed-size accumulator, and the accumulators are merged by integer
@@ -37,12 +37,14 @@ from .degseq import (
     LimitParams,
     build_sequence,
     check_build_targets,
-    to_limit_params,
-    window_params,
+    limit_params,
 )
 from .errors import CmlabError, InvalidConfig, SeriesDivergence, ZeroAcceptedSamples
 from .generator import Seed, sample
 from .theory import (
+    MAX_K,
+    TRUNC_K,
+    X_MAX,
     Prediction,
     expected_complement,
     lambda_cycle,
@@ -97,9 +99,8 @@ class ExperimentConfig:
     replicates: int = 1000
     master_seed: int = 0
     condition_on_simple: bool = False
-    x_max: int = 50
-    trunc_k: int = 60
-    max_k: int = 10
+    x_max: int = X_MAX
+    trunc_k: int = TRUNC_K
     threads: int = 1
     source: str | None = None
 
@@ -111,7 +112,7 @@ class ExperimentConfig:
                 f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
             )
         for name, low in (("replicates", 1), ("x_max", 0), ("trunc_k", 1),
-                          ("max_k", 1), ("threads", 1)):
+                          ("threads", 1)):
             value = getattr(self, name)
             if not value >= low:
                 raise InvalidConfig(f"{name} must be >= {low}, got {value}")
@@ -144,14 +145,14 @@ def _if_nu_finite(fn: Callable[[LimitParams], float]):
     return lambda p, n: None if math.isinf(p.nu) else fn(p)
 
 
-def _overflow(counts: dict[int, int], max_k: int) -> int:
-    return sum(cnt for k, cnt in counts.items() if k > max_k)
+def _overflow(counts: dict[int, int]) -> int:
+    return sum(cnt for k, cnt in counts.items() if k > MAX_K)
 
 
-def _lambda_tail(p: LimitParams, max_k: int, fn) -> float:
-    """Poisson-mean mass folded into the k > max_k overflow bucket."""
+def _lambda_tail(p: LimitParams, fn) -> float:
+    """Poisson-mean mass folded into the k > MAX_K overflow bucket."""
     total = 0.0
-    for k in range(max_k + 1, max_k + 400):
+    for k in range(MAX_K + 1, MAX_K + 400):
         term = fn(k, p)
         total += term
         if term < 1e-15:
@@ -159,41 +160,34 @@ def _lambda_tail(p: LimitParams, max_k: int, fn) -> float:
     return total
 
 
-def _stats(max_k: int) -> tuple[_Stat, ...]:
-    """The ordered table of statistics, with cycle and line buckets
-    k <= max_k and one overflow bucket each."""
-    cycles = [
-        _Stat(f"C{k}", lambda c, k=k: c.cycle_counts.get(k, 0),
-              lambda p, n, k=k: lambda_cycle(k, p), in_sweep=k <= 2)
-        for k in range(1, max_k + 1)
-    ]
-    lines = [
-        _Stat(f"L{k}", lambda c, k=k: c.line_counts.get(k, 0),
-              lambda p, n, k=k: lambda_line(k, p), in_sweep=k <= 3)
-        for k in range(2, max_k + 1)
-    ]
-    return (
-        _Stat("connected", is_connected, lambda p, n: p_connected(p), in_sweep=True),
-        _Stat("simple", is_simple, _if_nu_finite(p_simple), in_sweep=True),
-        _Stat("S", lambda c: c.self_loops, _if_nu_finite(lambda p: p.nu / 2),
-              needs_series=False, in_sweep=True),
-        _Stat("M", lambda c: c.multi_edges, _if_nu_finite(lambda p: p.nu**2 / 4),
-              needs_series=False, in_sweep=True),
-        _Stat("complement", lambda c: c.complement,
-              lambda p, n: expected_complement(p), in_sweep=True),
-        _Stat("deg3_outside_giant", lambda c: c.deg3_outside_giant,
-              lambda p, n: 0.0, needs_series=False, in_sweep=True),
-        _Stat("other_outside_giant", lambda c: c.other_outside_giant,
-              lambda p, n: 0.0, needs_series=False),
-        _Stat("giant_size", lambda c: c.giant_size,
-              lambda p, n: n - expected_complement(p)),
-        *cycles,
-        _Stat(f"C_gt{max_k}", lambda c: _overflow(c.cycle_counts, max_k),
-              lambda p, n: _lambda_tail(p, max_k, lambda_cycle)),
-        *lines,
-        _Stat(f"L_gt{max_k}", lambda c: _overflow(c.line_counts, max_k),
-              lambda p, n: _lambda_tail(p, max_k, lambda_line)),
-    )
+#: the ordered table of statistics, with cycle and line buckets k <= MAX_K
+#: and one overflow bucket each
+_STATS = (
+    _Stat("connected", is_connected, lambda p, n: p_connected(p), in_sweep=True),
+    _Stat("simple", is_simple, _if_nu_finite(p_simple), in_sweep=True),
+    _Stat("S", lambda c: c.self_loops, _if_nu_finite(lambda p: p.nu / 2),
+          needs_series=False, in_sweep=True),
+    _Stat("M", lambda c: c.multi_edges, _if_nu_finite(lambda p: p.nu**2 / 4),
+          needs_series=False, in_sweep=True),
+    _Stat("complement", lambda c: c.complement,
+          lambda p, n: expected_complement(p), in_sweep=True),
+    _Stat("deg3_outside_giant", lambda c: c.deg3_outside_giant,
+          lambda p, n: 0.0, needs_series=False, in_sweep=True),
+    _Stat("other_outside_giant", lambda c: c.other_outside_giant,
+          lambda p, n: 0.0, needs_series=False),
+    _Stat("giant_size", lambda c: c.giant_size,
+          lambda p, n: n - expected_complement(p)),
+    *(_Stat(f"C{k}", lambda c, k=k: c.cycle_counts.get(k, 0),
+            lambda p, n, k=k: lambda_cycle(k, p), in_sweep=k <= 2)
+      for k in range(1, MAX_K + 1)),
+    _Stat(f"C_gt{MAX_K}", lambda c: _overflow(c.cycle_counts),
+          lambda p, n: _lambda_tail(p, lambda_cycle)),
+    *(_Stat(f"L{k}", lambda c, k=k: c.line_counts.get(k, 0),
+            lambda p, n, k=k: lambda_line(k, p), in_sweep=k <= 3)
+      for k in range(2, MAX_K + 1)),
+    _Stat(f"L_gt{MAX_K}", lambda c: _overflow(c.line_counts),
+          lambda p, n: _lambda_tail(p, lambda_line)),
+)
 
 
 class _Accumulator:
@@ -201,11 +195,10 @@ class _Accumulator:
     connected-and-simple count and a bounded complement histogram; memory
     independent of replicate count."""
 
-    def __init__(self, stats: tuple[_Stat, ...], x_max: int):
-        self.stats = stats
+    def __init__(self, x_max: int):
         self.count = 0
-        self.sums = [0] * len(stats)
-        self.sumsqs = [0] * len(stats)
+        self.sums = [0] * len(_STATS)
+        self.sumsqs = [0] * len(_STATS)
         self.connected_simple = 0
         self.histogram = [0] * (x_max + 2)
         self.x_max = x_max
@@ -213,7 +206,7 @@ class _Accumulator:
     def add(self, c: ComponentCensus) -> None:
         """Add one replicate's row: each statistic's integer, in table order."""
         self.count += 1
-        for j, s in enumerate(self.stats):
+        for j, s in enumerate(_STATS):
             v = int(s.value(c))
             self.sums[j] += v
             self.sumsqs[j] += v * v
@@ -230,7 +223,7 @@ class _Accumulator:
         return self
 
     def total(self, name: str) -> int:
-        return self.sums[[s.name for s in self.stats].index(name)]
+        return self.sums[[s.name for s in _STATS].index(name)]
 
     def mean_stderr(self, j: int) -> tuple[float, float]:
         r = self.count
@@ -241,9 +234,9 @@ class _Accumulator:
         return mean, math.sqrt(max(var, 0.0) / r)
 
 
-def _fill(seq: DegreeSequence, master: int, stats: tuple[_Stat, ...], x_max: int,
+def _fill(seq: DegreeSequence, master: int, x_max: int,
           replicates: range) -> _Accumulator:
-    acc = _Accumulator(stats, x_max)
+    acc = _Accumulator(x_max)
     # allocated once for the range: arrays freed every replicate hand their
     # pages back to the system, and a desk replicate then took about 1,200
     # page faults to get them again
@@ -319,22 +312,20 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     """
     seq = cfg.resolve_sequence()
     r = cfg.replicates
-    stats = _stats(cfg.max_k)
 
     parts = min(cfg.threads, r)
     ranges = [range(r * k // parts, r * (k + 1) // parts) for k in range(parts)]
-    fill = partial(_fill, seq, cfg.master_seed, stats, cfg.x_max)
+    fill = partial(_fill, seq, cfg.master_seed, cfg.x_max)
     # a lone range runs on the calling thread: in a pool thread it gets a
     # malloc arena of its own, which raised the peak RSS of 1-thread runs
     with ThreadPoolExecutor(max_workers=parts) as pool:
         acc = reduce(_Accumulator.merge, (pool.map if parts > 1 else map)(fill, ranges))
 
-    params = to_limit_params(window_params(seq))
+    params = limit_params(seq)
     # degenerate sequences (2*p2 >= d) fall outside the limit theory;
     # their reports carry empirical values with null theory columns
     try:
-        pred = predict(params, seq=seq, x_max=cfg.x_max, trunc_k=cfg.trunc_k,
-                       max_k=cfg.max_k)
+        pred = predict(params, seq=seq, x_max=cfg.x_max, trunc_k=cfg.trunc_k)
     except SeriesDivergence:
         pred = None
 
@@ -343,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
             *acc.mean_stderr(j),
             s.theory(params, seq.n) if pred is not None or not s.needs_series else None,
         )
-        for j, s in enumerate(stats)
+        for j, s in enumerate(_STATS)
     }
     simple_count = acc.total("simple")
     conditional = None
@@ -371,7 +362,8 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
         "collect_simplicity": True,
         "x_max": cfg.x_max,
         "trunc_k": cfg.trunc_k,
-        "max_k": cfg.max_k,
+        # a constant, not a config field; echoed for the same reason
+        "max_k": MAX_K,
         "source": cfg.source,
     }
     return EstimateReport(
@@ -407,7 +399,7 @@ def sweep(template: ExperimentConfig, n_values: list[int]) -> str:
     # BuildTargets keeps p2 < 1 and bulk >= 3, so the limit has 2*p2 < d
     # and a finite nu: every theory value exists
     limit = template.targets.limit_params()
-    stats = [s for s in _stats(template.max_k) if s.in_sweep]
+    stats = [s for s in _STATS if s.in_sweep]
 
     lines = [SWEEP_HEADER]
     for n in n_values:

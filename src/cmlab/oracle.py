@@ -23,7 +23,7 @@ the lowest vertex among the largest components. Arbitrary-precision
 integers keep the results exact, and every table lives for one call.
 The default cap ell <= 16 bounds the run time, which grows with the
 number of vertex sets a state can split into. Alternating short runs of
-equal degrees cost the most: 1,2,1,2,... at ell = 16 takes about 0.02 s
+equal degrees cost the most: 1,2,1,2,... at ell = 16 takes about 0.03 s
 on a 2-core machine, while {1:16}, 2,027,025 matchings that are each a
 multigraph of their own, takes milliseconds. The cap bounds half-edges,
 not memory: the tables grow with the number of distinct outcomes, and

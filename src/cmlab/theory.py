@@ -24,6 +24,12 @@ SERIES_TOL = 1e-12
 SERIES_MAX_K = 10_000
 #: per-component Poisson truncation mass for the complement pmf
 _PMF_COMPONENT_TAIL = 1e-12
+#: defaults of every report: the complement pmf covers 0..X_MAX and sums
+#: the k-scaled components for k <= TRUNC_K; C_k and L_k are listed, and
+#: a report gives each its own row, for k <= MAX_K
+X_MAX = 50
+TRUNC_K = 60
+MAX_K = 10
 
 
 def _require_series(p: LimitParams) -> None:
@@ -91,26 +97,26 @@ def p_connected_given_simple(p: LimitParams) -> float:
     )
 
 
-def expected_complement(p: LimitParams, tol: float = SERIES_TOL) -> float:
+def expected_complement(p: LimitParams) -> float:
     """Expected number of vertices outside the largest component.
 
     Computed as sum_k k*(lambda_cycle(k) + lambda_line(k)), truncated once
-    a term falls below `tol`; the geometric closed forms p2/(d-2p2) and
-    rho1^2 (d-p2)/(d-2p2)^2 are kept in expected_complement_closed_form
-    as a cross-check.
+    a term falls below SERIES_TOL; the geometric closed forms p2/(d-2p2)
+    and rho1^2 (d-p2)/(d-2p2)^2 are kept in
+    expected_complement_closed_form as a cross-check.
     """
-    value, _ = _complement_series(p, tol)
+    value, _ = _complement_series(p)
     return value
 
 
-def _complement_series(p: LimitParams, tol: float) -> tuple[float, float]:
+def _complement_series(p: LimitParams) -> tuple[float, float]:
     """Series sum plus an exact bound on the truncated geometric tail."""
     _require_series(p)
     x = 2 * p.p2 / p.d
     total = 0.0
     term = math.inf
     k = 0
-    while (term >= tol or k < 2) and k < SERIES_MAX_K:
+    while (term >= SERIES_TOL or k < 2) and k < SERIES_MAX_K:
         k += 1
         term = k * (lambda_cycle(k, p) + lambda_line(k, p))
         total += term
@@ -150,7 +156,10 @@ def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
     """Distribution of sum_{k<=trunc_k} k*(C_k + L_k) on 0..x_max.
 
     Iterated convolution of the k-scaled Poisson components, each
-    truncated to all but 1e-12 of its mass.
+    truncated to all but 1e-12 of its mass. A component whose mean has
+    exp(-lambda) == 1.0 has the pmf [1.0] and changes nothing, and from
+    k = 2 on neither mean grows, so the loop stops at the first k >= 2
+    where both are such: a huge trunc_k costs no more than a small one.
     """
     _require_series(p)
     if x_max < 0:
@@ -160,9 +169,11 @@ def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
     dist = np.zeros(x_max + 1)
     dist[0] = 1.0
     for k in range(1, trunc_k + 1):
-        for lam in (lambda_cycle(k, p), lambda_line(k, p)):
-            if lam == 0.0:
-                continue
+        lams = [lam for lam in (lambda_cycle(k, p), lambda_line(k, p))
+                if math.exp(-lam) < 1.0]
+        if k >= 2 and not lams:
+            break
+        for lam in lams:
             probs = _poisson_pmf_truncated(lam, x_max // k)
             comp = np.zeros((len(probs) - 1) * k + 1)
             comp[::k] = probs
@@ -335,22 +346,21 @@ class Prediction:
 def predict(
     p: LimitParams,
     seq: DegreeSequence | None = None,
-    x_max: int = 50,
-    trunc_k: int = 60,
-    max_k: int = 10,
+    x_max: int = X_MAX,
+    trunc_k: int = TRUNC_K,
 ) -> Prediction:
     """Evaluate every prediction at `p`; include the log graph count when
     a concrete sequence is supplied and nu is finite."""
     _require_series(p)
     nu_ok = not math.isinf(p.nu)
-    value, bound = _complement_series(p, SERIES_TOL)
+    value, bound = _complement_series(p)
     return Prediction(
         params=p,
         p_connected=p_connected(p),
         p_simple=p_simple(p) if nu_ok else None,
         p_connected_given_simple=p_connected_given_simple(p) if nu_ok else None,
-        lambda_lines={k: lambda_line(k, p) for k in range(1, max_k + 1)},
-        lambda_cycles={k: lambda_cycle(k, p) for k in range(1, max_k + 1)},
+        lambda_lines={k: lambda_line(k, p) for k in range(1, MAX_K + 1)},
+        lambda_cycles={k: lambda_cycle(k, p) for k in range(1, MAX_K + 1)},
         expected_complement=value,
         expected_complement_truncation_bound=bound,
         paper_closed_form=paper_closed_form_complement(p),

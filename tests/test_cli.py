@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -294,6 +295,41 @@ def test_theory_large_poisson_mean_finishes():
     assert payload["p_connected"] == 0.0
 
 
+def test_theory_huge_trunc_k_finishes(capsys):
+    """From k = 23 on both Poisson means have exp(-lambda) == 1.0, so
+    complement_pmf stops there, and trunc_k = 10**12 prints the bytes
+    trunc_k = 60 does."""
+    argv = ["theory", "--rho1", "1", "--p2", "0.3", "--d", "2.7", "--nu", "2"]
+    code, small, _ = _run([*argv, "--trunc-k", "60"], capsys)
+    assert code == 0
+    start = time.monotonic()
+    code, huge, err = _run([*argv, "--trunc-k", str(10**12)], capsys)
+    assert time.monotonic() - start < 10
+    assert code == 0, err
+    assert huge == small
+
+
+#: sha256 of stdout, recorded before `limit_params`, the single pairing
+#: path and the simulate source resolution replaced the code they run
+CLI_SHA256 = {
+    "theory --counts 1:10,2:30,3:60":
+        "5a3f2aeb49f0d4ec2b63d67bd1076238cb7165b43126df65efa9032c2f1a56d0",
+    "simulate --counts 1:10,2:30,3:60 --replicates 50 --seed 3 --condition-on-simple":
+        "4603a6a441d8fa423f965c8be7835e74152f8eea83dc8116942825c5dbc568dc",
+    "simulate --n 2000 --rho1 1 --p2 0.3 --replicates 20 --seed 3":
+        "01bd00dbf7d8adede26d1f741707ab1757813f01bed20222905302bbabe8f7cb",
+    "generate --counts 1:10,2:30,3:60 --seed 7":
+        "80971146ec95747e1d6b9a579d2c79b4ed6ee4a4e41d38358a674ab1ec06133f",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CLI_SHA256))
+def test_cli_output_bytes_pinned(args, capsys):
+    code, out, err = _run(args.split(), capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[args]
+
+
 @pytest.mark.parametrize(
     "flags,field",
     [
@@ -327,6 +363,14 @@ def test_missing_source_is_validation_error(capsys):
     code, _, err = _run(["enumerate"], capsys)
     assert code == 1
     assert "--degrees" in err
+
+
+def test_simulate_rejects_n_with_degree_source(capsys):
+    code, out, err = _run(["simulate", "--n", "100", "--counts", "2:4",
+                           "--replicates", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "specify exactly one of --degrees / --counts / --file / --n" in err
 
 
 def test_usage_error_exit_code_2():

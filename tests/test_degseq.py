@@ -31,6 +31,26 @@ def test_validate_rejects_odd_total():
         degseq.validate([1, 2])
 
 
+@pytest.mark.parametrize(
+    "raw,vertex,degree",
+    [([2**32 + 1, 1], 0, 2**32 + 1), ([2**31, 2**31], 0, 2**31),
+     ([1, 1, 2**64], 2, 2**64), ([2, 1.5e10], 1, 1.5e10)],
+)
+def test_validate_rejects_degree_above_int32(raw, vertex, degree):
+    """Degrees are stored as int32: a larger one is an error naming the
+    vertex and the bound, not a silently wrapped degree."""
+    with pytest.raises(ZeroOrNegativeDegree,
+                       match=rf"^vertex {vertex} has degree {degree}, above the bound 2\*\*31 - 1"):
+        degseq.validate(raw)
+
+
+def test_validate_accepts_degree_at_int32_bound():
+    s = degseq.validate([2**31 - 1, 1])
+    assert s.degrees.tolist() == [2**31 - 1, 1]
+    assert s.counts == {1: 1, 2**31 - 1: 1}
+    assert s.ell == 2**31
+
+
 def test_validate_rejects_zero_degree():
     with pytest.raises(ZeroOrNegativeDegree):
         degseq.validate([0, 2, 2])
@@ -44,11 +64,11 @@ def test_validate_rejects_zero_degree():
 
 def test_window_params_hand_example():
     s = degseq.from_counts({1: 10, 2: 30, 3: 60})
-    w = degseq.window_params(s)
-    assert w.rho1_n == pytest.approx(1.0)
-    assert w.p2_n == pytest.approx(0.3)
-    assert w.d_n == pytest.approx(2.5)
-    assert w.nu_n == pytest.approx(1.68)
+    p = degseq.limit_params(s)
+    assert p.rho1 == pytest.approx(1.0)
+    assert p.p2 == pytest.approx(0.3)
+    assert p.d == pytest.approx(2.5)
+    assert p.nu == pytest.approx(1.68)
 
 
 @pytest.mark.parametrize(
@@ -59,15 +79,15 @@ def test_window_params_hand_example():
     ],
 )
 def test_window_params_trivial(raw, expect):
-    w = degseq.window_params(degseq.validate(raw))
-    assert (w.rho1_n, w.p2_n, w.d_n, w.nu_n) == pytest.approx(expect)
+    p = degseq.limit_params(degseq.validate(raw))
+    assert (p.rho1, p.p2, p.d, p.nu) == pytest.approx(expect)
 
 
 def test_window_nu_is_exact_rational():
     s = degseq.from_counts({1: 4, 2: 7, 3: 4, 5: 2})
-    w = degseq.window_params(s)
+    p = degseq.limit_params(s)
     second = Fraction(4 * 0 + 7 * 2 + 4 * 6 + 2 * 20, s.ell)
-    assert w.nu_n == float(second)
+    assert p.nu == float(second)
 
 
 def test_build_sequence_examples():
@@ -100,27 +120,34 @@ def test_build_sequence_parity_unrepairable():
 def test_build_recovers_targets():
     for n in (100, 1000, 40000):
         s = degseq.build_sequence(n, 1.0, 0.3, 3)
-        w = degseq.window_params(s)
-        assert abs(w.rho1_n - 1.0) <= 1.0 / math.sqrt(n)
-        assert abs(w.p2_n - 0.3) <= 1.0 / n
+        p = degseq.limit_params(s)
+        assert abs(p.rho1 - 1.0) <= 1.0 / math.sqrt(n)
+        assert abs(p.p2 - 0.3) <= 1.0 / n
 
 
-def test_to_limit_params_copies_and_caps():
-    w = degseq.WindowParams(1.0, 0.3, 2.7, 1.7778)
-    p = degseq.to_limit_params(w)
-    assert (p.rho1, p.p2, p.d, p.nu) == (1.0, 0.3, 2.7, 1.7778)
+def test_limit_params_copies_ratios_and_caps_nu():
+    # the four ratios, bit for bit, as the sequence's own limits
+    s = degseq.from_counts({1: 10, 2: 28, 3: 62})
+    p = degseq.limit_params(s)
+    assert (p.rho1, p.p2, p.d, p.nu) == (10 / math.sqrt(100), 28 / 100, 252 / 100,
+                                         (2 * 28 + 6 * 62) / 252)
 
-    w = degseq.WindowParams(0.0, 0.0, 3.0, 2.0)
-    p = degseq.to_limit_params(w)
+    p = degseq.limit_params(degseq.validate([3, 3, 3, 3]))
     assert (p.rho1, p.p2, p.d, p.nu) == (0.0, 0.0, 3.0, 2.0)
 
-    capped = degseq.to_limit_params(degseq.WindowParams(0.0, 0.0, 3.0, 1e9))
+    # nu = D - 1 for two vertices of degree D: at the cap it stays finite,
+    # just above it is infinite
+    at_cap = int(degseq.NU_CAP_DEFAULT) + 1
+    assert degseq.limit_params(degseq.validate([at_cap, at_cap])).nu == degseq.NU_CAP_DEFAULT
+    capped = degseq.limit_params(degseq.validate([at_cap + 1, at_cap + 1]))
     assert math.isinf(capped.nu)
 
 
 def test_degenerate_params_flagged_at_use_site():
     # 2*p2 >= d passes through; the theory module is the enforcement point
-    p = degseq.to_limit_params(degseq.WindowParams(0.0, 0.5, 1.0, 0.5))
+    p = degseq.limit_params(degseq.validate([1, 1, 2, 2]))
+    assert (p.p2, p.d) == (0.5, 1.5)
+    p = degseq.limit_params(degseq.validate([2, 2]))
     assert 2 * p.p2 >= p.d
 
 

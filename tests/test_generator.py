@@ -60,13 +60,16 @@ def test_streams_differ():
 
 def test_pairing_buffer_gives_the_fresh_pairing():
     """One buffer reused for consecutive streams, each time still holding
-    the previous permutation, gives the pairing a fresh draw gives."""
+    the previous permutation, gives the pairing a fresh draw gives: the
+    ids of `rng.permutation(ell)`, as before the in-place fill."""
     s = degseq.from_counts({1: 40, 2: 30, 3: 30})
     buf = np.empty(s.ell, dtype=np.int64)
     for i in range(6):
         pairing = generator.sample_pairing(s, generator.Seed(5, i), out=buf)
         assert np.shares_memory(pairing, buf)
         assert np.array_equal(pairing, generator.sample_pairing(s, generator.Seed(5, i)))
+        perm = generator.Seed(5, i).generator().permutation(s.ell)
+        assert np.array_equal(pairing, perm.reshape(-1, 2))
         g = generator.sample(s, generator.Seed(5, i), out=buf)
         assert np.array_equal(g.edges, generator.sample(s, generator.Seed(5, i)).edges)
 

@@ -51,7 +51,7 @@ def test_single_replicate_report_byte_identical():
 
 def _replicate_row(seq, master, i):
     # the integers of replicate i alone: an accumulator over range(i, i + 1)
-    return montecarlo._fill(seq, master, montecarlo._stats(10), 50, range(i, i + 1)).sums
+    return montecarlo._fill(seq, master, 50, range(i, i + 1)).sums
 
 
 def test_replicate_streams_are_independent_of_order():
@@ -87,13 +87,12 @@ def test_fill_memory_does_not_grow_with_replicates():
     its arrays once, and nothing is kept per replicate. One leaked pairing
     at n = 2,000 is 43 KB."""
     seq = degseq.build_sequence(2000, 1.0, 0.3, 3)
-    stats = montecarlo._stats(10)
-    montecarlo._fill(seq, 3, stats, 50, range(1))  # imports and caches first
+    montecarlo._fill(seq, 3, 50, range(1))  # imports and caches first
     peaks = []
     for replicates in (2, 20):
         tracemalloc.start()
         try:
-            montecarlo._fill(seq, 3, stats, 50, range(replicates))
+            montecarlo._fill(seq, 3, 50, range(replicates))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -186,7 +185,7 @@ def test_config_requires_one_source():
         ("replicates", {"replicates": 0}),
         ("x_max", {"x_max": -2}),
         ("trunc_k", {"trunc_k": -5}),
-        ("max_k", {"max_k": 0}),
+        ("trunc_k", {"trunc_k": 0}),
         ("threads", {"threads": 0}),
         ("master_seed", {"master_seed": -1}),
         ("master_seed", {"master_seed": 2**64}),

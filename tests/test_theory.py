@@ -173,6 +173,28 @@ def test_complement_pmf_values():
     assert degenerate[1:].sum() == 0.0
 
 
+@pytest.mark.parametrize(
+    "p",
+    [P, LimitParams(0, 0.3, 2.7, 2.0), LimitParams(1, 0, 2.7, 2.0),
+     LimitParams(2, 0.45, 1.0, 2.0), LimitParams(0, 0, 3, 2.0)],
+)
+def test_complement_pmf_stops_early_with_the_same_bits(p):
+    """complement_pmf(p, 50, 10**12) ends once every later factor is the
+    pmf [1.0], and equals the plain loop over all k up to 1,000 (the
+    means there are below 1e-16 for each p above) bit for bit."""
+    dist = np.zeros(51)
+    dist[0] = 1.0
+    for k in range(1, 1001):
+        for lam in (theory.lambda_cycle(k, p), theory.lambda_line(k, p)):
+            if lam == 0.0:
+                continue
+            probs = theory._poisson_pmf_truncated(lam, 50 // k)
+            comp = np.zeros((len(probs) - 1) * k + 1)
+            comp[::k] = probs
+            dist = np.convolve(dist, comp)[:51]
+    assert np.array_equal(theory.complement_pmf(p, 50, 10**12), dist)
+
+
 @pytest.mark.parametrize("x_max,trunc_k,field", [(-1, 60, "x_max"), (50, 0, "trunc_k"),
                                                  (50, -5, "trunc_k")])
 def test_complement_pmf_rejects_bad_range(x_max, trunc_k, field):
@@ -222,7 +244,7 @@ def test_log_double_factorial():
 
 def test_log_count_connected_simple_hand_value():
     seq = degseq.validate([3, 3, 3, 3])
-    params = degseq.to_limit_params(degseq.window_params(seq))
+    params = degseq.limit_params(seq)
     assert (params.rho1, params.p2, params.d, params.nu) == (0.0, 0.0, 3.0, 2.0)
     # log(11!!) - 4*log(3!) - nu/2 - nu^2/4 = log 10395 - 4 log 6 - 2
     expect = math.log(10395) - 4 * math.log(6) - 2.0
@@ -239,7 +261,7 @@ def test_log_count_connected_below_simple_count():
         if degs.sum() % 2 != 0:
             degs = np.append(degs, 1)
         seq = degseq.validate(degs)
-        params = degseq.to_limit_params(degseq.window_params(seq))
+        params = degseq.limit_params(seq)
         if 2 * params.p2 >= params.d:
             continue
         connected = theory.log_count_connected_simple(seq, params)
