@@ -39,6 +39,14 @@ once (CensusBuffers) and handed to every census of a sequence's graphs.
 Either way the giant is chosen among all components by size and lowest
 vertex id, which is exact whichever component the search happened to
 cover.
+
+The exploration process of the paper's proof pairs one active half-edge
+at a time with a uniform free partner. run_exploration draws no partner
+itself: it reveals the matching generator.sample_pairing draws one pair
+at a time. The laws agree by the principle of deferred decisions: given
+the pairs revealed so far, the partner of any active half-edge is
+uniform among the other free half-edges, whichever one a step takes. So
+a trace explores the graph the census of the same seed sees.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import numpy as np
 
 from .degseq import DegreeSequence
 from .errors import DegreeMismatch
-from .generator import Multigraph, Seed, _as_generator
+from .generator import Multigraph, Seed, sample_pairing
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -370,93 +378,63 @@ def run_exploration(
     start: int,
     run_to_completion: bool = False,
 ) -> ExplorationTrace:
-    """Explore the component of `start`, pairing half-edges on the fly.
+    """Explore the component of `start` in the graph `generator.sample`
+    draws from `seed`, revealing its pairing one pair at a time.
 
-    Each step pairs a uniformly chosen active half-edge with a uniform
-    partner among all remaining free half-edges, so the pairing built has
-    the same distribution as `generator.sample`. Stops at the first t with
+    Each step reveals the partner of the most recently activated
+    half-edge; by deferred decisions (see the module docstring) it is
+    uniform among the other free half-edges. Stops at the first t with
     S_t = 0 (reason "hit-zero") or, unless run_to_completion is set, once
-    |N_t| <= n/2 (reason "passed-t-half"). With run_to_completion the walk
-    continues to S_t = 0 and reports "exhausted" if the threshold was
-    passed along the way.
+    |N_t| <= n/2 (reason "passed-t-half"). With run_to_completion the
+    walk continues to S_t = 0, reports "exhausted" if the threshold was
+    passed along the way, and finds all of `start`'s component.
     """
     if not 0 <= start < seq.n:
         raise ValueError(f"start vertex {start} out of range")
-    rng = _as_generator(seed)
-    deg = seq.degrees
-    offsets = seq.half_edge_offsets
-    owners = seq.half_edge_owners
-    ell = seq.ell
+    pairing = sample_pairing(seq, seed)
+    partner = np.empty(seq.ell, dtype=np.int64)
+    partner[pairing] = pairing[:, ::-1]
+    partner = partner.tolist()
+    deg = seq.degrees.tolist()
+    offsets = seq.half_edge_offsets.tolist()
+    owners = seq.half_edge_owners.tolist()
     threshold = seq.n / 2
 
-    free_list = list(range(ell))
-    free_pos = list(range(ell))
-    active_list: list[int] = []
-    active_pos = [-1] * ell
-
-    def _remove(lst: list[int], pos: list[int], h: int) -> None:
-        i = pos[h]
-        last = lst[-1]
-        lst[i] = last
-        pos[last] = i
-        lst.pop()
-        pos[h] = -1
-
-    for h in range(int(offsets[start]), int(offsets[start + 1])):
-        active_pos[h] = len(active_list)
-        active_list.append(h)
-
-    neutral = ell - int(deg[start])
-    s_values = [len(active_list)]
+    # the active half-edges, in the order they were activated
+    active = dict.fromkeys(range(offsets[start], offsets[start + 1]))
+    neutral = seq.ell - deg[start]
+    s_values = [len(active)]
     neutral_counts = [neutral]
-    t_half: int | None = None
+    t_half: int | None = -1 if neutral <= threshold else None
     vertices_found = 1
-    t = 0
-    passed = False
-
-    while True:
-        if t_half is None and neutral <= threshold:
-            t_half = t - 1
-            passed = True
-        if s_values[t] == 0:
-            reason = "exhausted" if (passed and run_to_completion) else "hit-zero"
-            return ExplorationTrace(
-                start_vertex=start,
-                s_values=s_values,
-                neutral_counts=neutral_counts,
-                t_zero=t,
-                t_half=t_half,
-                half_threshold=threshold,
-                stop_reason=reason,
-                vertices_found=vertices_found,
-            )
-        if passed and not run_to_completion:
-            return ExplorationTrace(
-                start_vertex=start,
-                s_values=s_values,
-                neutral_counts=neutral_counts,
-                t_zero=None,
-                t_half=t_half,
-                half_threshold=threshold,
-                stop_reason="passed-t-half",
-                vertices_found=vertices_found,
-            )
-
-        e1 = active_list[int(rng.integers(len(active_list)))]
-        _remove(active_list, active_pos, e1)
-        _remove(free_list, free_pos, e1)
-        e2 = free_list[int(rng.integers(len(free_list)))]
-        _remove(free_list, free_pos, e2)
-        if active_pos[e2] >= 0:
-            _remove(active_list, active_pos, e2)
+    while active and (t_half is None or run_to_completion):
+        e2 = partner[active.popitem()[0]]
+        if e2 in active:
+            del active[e2]
         else:
-            v2 = int(owners[e2])
-            neutral -= int(deg[v2])
+            v2 = owners[e2]
+            neutral -= deg[v2]
             vertices_found += 1
-            for h in range(int(offsets[v2]), int(offsets[v2 + 1])):
+            for h in range(offsets[v2], offsets[v2 + 1]):
                 if h != e2:
-                    active_pos[h] = len(active_list)
-                    active_list.append(h)
-        t += 1
-        s_values.append(len(active_list))
+                    active[h] = None
+        s_values.append(len(active))
         neutral_counts.append(neutral)
+        if t_half is None and neutral <= threshold:
+            t_half = len(s_values) - 2
+    if active:
+        reason = "passed-t-half"
+    elif t_half is not None and run_to_completion:
+        reason = "exhausted"
+    else:
+        reason = "hit-zero"
+    return ExplorationTrace(
+        start_vertex=start,
+        s_values=s_values,
+        neutral_counts=neutral_counts,
+        t_zero=None if active else len(s_values) - 1,
+        t_half=t_half,
+        half_threshold=threshold,
+        stop_reason=reason,
+        vertices_found=vertices_found,
+    )

@@ -174,6 +174,12 @@ def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
         if k >= 2 and not lams:
             break
         for lam in lams:
+            if k > x_max:
+                # only the pmf's 0 lands in 0..x_max: the convolution is
+                # one product per entry, with the same bits. Near
+                # 2*p2/d = 1 the loop can run to k in the millions
+                dist *= math.exp(-lam)
+                continue
             probs = _poisson_pmf_truncated(lam, x_max // k)
             comp = np.zeros((len(probs) - 1) * k + 1)
             comp[::k] = probs
@@ -181,11 +187,9 @@ def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
     return dist
 
 
-def _poisson_pmf_truncated(
-    lam: float, max_j: int, tail: float = _PMF_COMPONENT_TAIL
-) -> np.ndarray:
+def _poisson_pmf_truncated(lam: float, max_j: int) -> np.ndarray:
     """Poisson(lam) probabilities of 0, 1, ..., j, for the first j that
-    leaves at most `tail` of the mass out.
+    leaves at most _PMF_COMPONENT_TAIL of the mass out.
 
     The recurrence p_j = p_(j-1) * lam / j runs with a left-to-right
     running sum. It cannot finish where exp(-lam) underflows: from 0 the
@@ -194,13 +198,13 @@ def _poisson_pmf_truncated(
     instead, and the list ends at j = max_j at the latest; the caller
     reads no entry beyond it.
     """
-    probs = _poisson_recurrence(lam, tail)
+    probs = _poisson_recurrence(lam, _PMF_COMPONENT_TAIL)
     if probs is None:
         log_lam, total, probs = math.log(lam), 0.0, []
         for j in range(max_j + 1):
             probs.append(math.exp(j * log_lam - lam - math.lgamma(j + 1)))
             total += probs[-1]
-            if 1.0 - total <= tail:
+            if 1.0 - total <= _PMF_COMPONENT_TAIL:
                 break
     return np.array(probs)
 

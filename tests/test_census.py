@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
-from cmlab import census, degseq, generator
+from cmlab import census, degseq, generator, oracle
 from cmlab.errors import DegreeMismatch
 
 from reference_census import reference_census, reference_labels
@@ -344,8 +344,9 @@ def test_exploration_starts_at_degree():
 
 
 def test_exploration_self_pair_hits_zero():
-    # stream found by search: the start vertex's two half-edges pair together
     s = degseq.validate([2, 2])
+    # the start vertex's two half-edges pair together
+    assert [0, 1] in np.sort(generator.sample_pairing(s, generator.Seed(400, 0))).tolist()
     tr = census.run_exploration(s, generator.Seed(400, 0), start=0)
     assert tr.s_values == [2, 0]
     assert tr.t_zero == 1
@@ -427,3 +428,41 @@ def test_exploration_distribution_matches_oracle():
     freq2 = sizes[2] / runs
     se = (1 / 3 * 2 / 3 / runs) ** 0.5
     assert abs(freq2 - 1 / 3) < 4 * se
+
+
+@pytest.mark.parametrize("counts", [{1: 10, 2: 30, 3: 60}, {1: 40, 2: 160}, {1: 2, 2: 3, 3: 2},
+                                    {2: 7}, {3: 20, 4: 5}])
+def test_exploration_explores_the_sampled_graph(counts):
+    """An exploration run to completion finds exactly the start vertex's
+    component in the graph generator.sample draws from the same seed."""
+    s = degseq.from_counts(counts)
+    for i in range(400):
+        start = i % s.n
+        tr = census.run_exploration(s, generator.Seed(77, i), start, run_to_completion=True)
+        g = generator.sample(s, generator.Seed(77, i))
+        labels = reference_labels(g.n, g.edges)
+        assert tr.vertices_found == int((labels == labels[start]).sum())
+
+
+def test_exploration_matches_exact_root_component_law():
+    """The start vertex's component size over 20k explorations of
+    {1:2,2:3,3:2} against its exact law (alpha = 0.001): the matchings in
+    which vertex 0's component is a set T of s vertices number Conn(T) *
+    (r - 1)!!, with r the half-edges outside T, summed over the sets T."""
+    s = degseq.from_counts({1: 2, 2: 3, 3: 2})
+    weights = Counter()
+    for ways, piece, rest in oracle._root_pieces(tuple(s.degrees.tolist())):
+        if sum(piece) % 2 == 0:
+            connected = sum(oracle._connected(piece, {}, {}).values())
+            weights[len(piece)] += ways * connected * oracle.double_factorial_odd(sum(rest))
+    assert sum(weights.values()) == oracle.double_factorial_odd(s.ell)
+
+    runs = 20_000
+    sizes = Counter(
+        census.run_exploration(s, generator.Seed(15, i), 0, run_to_completion=True).vertices_found
+        for i in range(runs)
+    )
+    assert set(sizes) <= set(weights)
+    support = sorted(weights)
+    expected = [runs * weights[k] / oracle.double_factorial_odd(s.ell) for k in support]
+    assert chisquare([sizes[k] for k in support], expected).pvalue > 0.001

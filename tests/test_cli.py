@@ -309,6 +309,20 @@ def test_theory_huge_trunc_k_finishes(capsys):
     assert huge == small
 
 
+def test_theory_near_critical_huge_trunc_k_finishes(capsys):
+    """At 2*p2/d = 0.99999 the means fall below 1e-16 only near k = 2e6,
+    where complement_pmf stops; each k above x_max = 50 costs one product
+    per entry, not a convolution with a k-long array."""
+    argv = ["theory", "--rho1", "0", "--p2", "0.499995", "--d", "1", "--nu", "2",
+            "--trunc-k", str(10**12)]
+    start = time.monotonic()
+    code, out, err = _run(argv, capsys)
+    assert time.monotonic() - start < 60
+    assert code == 0, err
+    payload = _strict_json(out)
+    assert payload["complement_pmf"][0] == pytest.approx(payload["p_connected"], rel=1e-9)
+
+
 #: sha256 of stdout, recorded before `limit_params`, the single pairing
 #: path and the simulate source resolution replaced the code they run
 CLI_SHA256 = {

@@ -179,20 +179,22 @@ def test_complement_pmf_values():
      LimitParams(2, 0.45, 1.0, 2.0), LimitParams(0, 0, 3, 2.0)],
 )
 def test_complement_pmf_stops_early_with_the_same_bits(p):
-    """complement_pmf(p, 50, 10**12) ends once every later factor is the
-    pmf [1.0], and equals the plain loop over all k up to 1,000 (the
-    means there are below 1e-16 for each p above) bit for bit."""
-    dist = np.zeros(51)
-    dist[0] = 1.0
-    for k in range(1, 1001):
-        for lam in (theory.lambda_cycle(k, p), theory.lambda_line(k, p)):
-            if lam == 0.0:
-                continue
-            probs = theory._poisson_pmf_truncated(lam, 50 // k)
-            comp = np.zeros((len(probs) - 1) * k + 1)
-            comp[::k] = probs
-            dist = np.convolve(dist, comp)[:51]
-    assert np.array_equal(theory.complement_pmf(p, 50, 10**12), dist)
+    """complement_pmf(p, x_max, 10**12) ends once every later factor is
+    the pmf [1.0], and equals the plain loop over all k up to 1,000 (the
+    means there are below 1e-16 for each p above) bit for bit, also where
+    k passes x_max."""
+    for x_max in (50, 0, 1, 5, 17):
+        dist = np.zeros(x_max + 1)
+        dist[0] = 1.0
+        for k in range(1, 1001):
+            for lam in (theory.lambda_cycle(k, p), theory.lambda_line(k, p)):
+                if lam == 0.0:
+                    continue
+                probs = theory._poisson_pmf_truncated(lam, x_max // k)
+                comp = np.zeros((len(probs) - 1) * k + 1)
+                comp[::k] = probs
+                dist = np.convolve(dist, comp)[:x_max + 1]
+        assert np.array_equal(theory.complement_pmf(p, x_max, 10**12), dist)
 
 
 @pytest.mark.parametrize("x_max,trunc_k,field", [(-1, 60, "x_max"), (50, 0, "trunc_k"),
