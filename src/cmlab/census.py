@@ -32,9 +32,9 @@ Outside the window a search can miss most of the graph, and the Python
 loop would take about 2 us a vertex. The searched component's counts are
 the sequence totals minus theirs.
 Self-loops and parallel edges of the whole graph are counted by one sort
-of the vertex-pair keys; no edge joins the two sides, so the leftover's
-are among them. The ell-sized working arrays of this path can be made
-once (CensusBuffers) and handed to every census of a sequence's graphs.
+of the vertex-pair keys, held in the spent columns; no edge joins the two
+sides, so the leftover's are among them. The working arrays of this path
+can be made once (CensusBuffers) for every graph of a sequence.
 
 Either way the giant is chosen among all components by size and lowest
 vertex id, which is exact whichever component the search happened to
@@ -233,8 +233,8 @@ def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
 
 
 class CensusBuffers:
-    """The ell-sized working arrays of a census above _UNION_FIND_MAX_N
-    vertices, for graphs of one sequence.
+    """The three ell-sized working arrays of a census above
+    _UNION_FIND_MAX_N vertices, for graphs of one sequence.
 
     A census given these writes into them instead of allocating its own,
     so a run of many censuses allocates them once: freeing megabytes each
@@ -245,8 +245,7 @@ class CensusBuffers:
     def __init__(self, seq: DegreeSequence):
         half = seq.ell // 2
         self.ends = np.empty((half, 2), dtype=np.int32)  # owners of each pair
-        self.cols = np.empty(seq.ell, dtype=np.int32)  # the adjacency's columns
-        self.keys = np.empty(half, dtype=np.int64)  # the sorted vertex-pair keys
+        self.cols = np.empty(seq.ell, dtype=np.int32)  # columns, then int64 keys
         self.mask = np.empty(half, dtype=bool)
 
 
@@ -292,25 +291,23 @@ def _census_search(seq: DegreeSequence, pairing: np.ndarray,
             rows = _sparse_rows(adj[rest][:, rest], seq.degrees[rest], rest)
 
     # self-loops and parallel edges of the whole graph, by one sort of the
-    # vertex-pair keys min * n + max
+    # vertex-pair keys min * n + max = min * (n - 1) + a + b, in the bytes
+    # of the columns: they are spent once the labels are known
     a, b = ends[:, 0], ends[:, 1]
     self_loops = int(np.count_nonzero(np.equal(a, b, out=buffers.mask)))
-    key = np.minimum(a, b, out=buffers.keys)
-    key *= n
-    # the columns are spent once the labels are known: their first half
-    # holds the larger ends
-    key += np.maximum(a, b, out=cols[:len(key)])
+    key = np.minimum(a, b, out=cols.view(np.int64))
+    key *= n - 1
+    key += a
+    key += b
     key.sort()
     same = np.equal(key[1:], key[:-1], out=buffers.mask[1:])
     repeats = key[1:][same]
     # a self-loop at v has the key v*(n+1), which no other edge has; loops
     # at one vertex are not parallel edges
     repeats = repeats[repeats % (n + 1) != 0]
-    multi_edges = 0
-    if len(repeats):
-        # a pair joined by m parallel edges repeats m-1 times: C(m, 2) pairs
-        _, extra = np.unique(repeats, return_counts=True)
-        multi_edges = int((extra * (extra + 1) // 2).sum())
+    # a pair joined by m parallel edges repeats m-1 times: C(m, 2) pairs
+    _, extra = np.unique(repeats, return_counts=True)
+    multi_edges = int((extra * (extra + 1) // 2).sum())
 
     rows.append((int(reached.min()), len(reached), seq.n1 - sum(r[2] * r[4] for r in rows),
                  seq.n2 - sum(r[3] * r[4] for r in rows), 1))

@@ -28,7 +28,7 @@ from .errors import (
 
 #: nu values above this cap are treated as infinite by limit_params.
 NU_CAP_DEFAULT = 1e6
-#: largest degree: degrees are stored as int32
+#: largest degree and total degree: degrees and half-edge ids are int32
 DEGREE_MAX = 2**31 - 1
 
 
@@ -137,10 +137,10 @@ class LimitParams:
 def validate(raw_degrees) -> DegreeSequence:
     """Check degrees and build a DegreeSequence.
 
-    Every degree must be an integer in 1..DEGREE_MAX and the total degree
-    even (otherwise the half-edges cannot be paired). Raises
-    ZeroOrNegativeDegree, naming the first vertex (0-based) above the
-    bound, or OddTotalDegree.
+    Every degree must be an integer in 1..DEGREE_MAX, and the total degree
+    at most DEGREE_MAX and even (otherwise the half-edges cannot be
+    paired). Raises ZeroOrNegativeDegree, naming the first vertex (0-based)
+    above the bound or the total above it, or OddTotalDegree.
     """
     raw = np.asarray(raw_degrees)
     if raw.ndim != 1 or raw.size == 0:
@@ -161,6 +161,8 @@ def validate(raw_degrees) -> DegreeSequence:
             f"degrees must all be >= 1, found {int(degrees.min())}"
         )
     ell = int(degrees.sum())
+    if ell > DEGREE_MAX:
+        raise ZeroOrNegativeDegree(f"total degree {ell} is above the bound 2**31 - 1")
     if ell % 2 != 0:
         raise OddTotalDegree(f"total degree {ell} is odd; pairing impossible")
     values, mults = np.unique(degrees, return_counts=True)

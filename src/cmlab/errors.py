@@ -6,8 +6,8 @@ class CmlabError(Exception):
 
 
 class ZeroOrNegativeDegree(CmlabError):
-    """A degree sequence is not a nonempty list of integer degrees, or
-    holds one below 1 or above 2**31 - 1."""
+    """A degree sequence is not a nonempty list of integer degrees, holds
+    one below 1 or above 2**31 - 1, or has a total above 2**31 - 1."""
 
 
 class OddTotalDegree(CmlabError):

@@ -8,10 +8,10 @@ at most `threads` contiguous ranges; each range adds its integers into its
 own fixed-size accumulator, and the accumulators are merged by integer
 addition. Integer addition is exact, so the same config gives
 byte-identical JSON reports on any machine and for any thread count.
-Each range also allocates its working arrays once, the pairing buffer
-and the census's CensusBuffers, and reuses them for every replicate: a
-range allocates nothing ell-sized per replicate, and memory does not grow
-with the replicate count.
+Each range also allocates its working arrays once, 16.5 bytes a
+half-edge: the pairing buffer and the census's CensusBuffers. It reuses
+them for every replicate, allocates nothing ell-sized per replicate, and
+its memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -266,7 +266,8 @@ def _frequency(successes: int, total: int, theory: float | None) -> dict:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Aggregated estimates with standard errors and theory deltas."""
+    """Aggregated estimates with standard errors and theory deltas; the
+    unserialised `prediction` has no log-count (it needs scipy.special)."""
 
     config: dict
     replicates: int
@@ -308,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
 
     Conditioning on simplicity is by rejection within the same replicate
     set; the report carries the acceptance rate. Raises ZeroAcceptedSamples
-    if conditioning rejects every replicate.
+    if conditioning rejects every replicate. Its prediction has no log-count.
     """
     seq = cfg.resolve_sequence()
     r = cfg.replicates
@@ -325,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     # degenerate sequences (2*p2 >= d) fall outside the limit theory;
     # their reports carry empirical values with null theory columns
     try:
-        pred = predict(params, seq=seq, x_max=cfg.x_max, trunc_k=cfg.trunc_k)
+        pred = predict(params, x_max=cfg.x_max, trunc_k=cfg.trunc_k)
     except SeriesDivergence:
         pred = None
 

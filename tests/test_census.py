@@ -168,8 +168,8 @@ def _cycle(vertices):
     return [(u, v) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
 
 
-# hand-made graphs on 300 vertices that a sampled graph rarely shows:
-# (degrees, 0-based edges, census fields they must give); each runs
+# hand-made graphs that a sampled graph rarely shows, on 300 vertices but
+# one: (degrees, 0-based edges, census fields they must give); each runs
 # through both census paths
 _BIG_CASES = {
     # the maximum-degree vertices 0 and 1 form a 4-fold edge; the giant is
@@ -211,6 +211,16 @@ _BIG_CASES = {
     "tie_won_by_search": (
         [3, 3] + [1] * 298, [(0, 1)] * 3 + [(2 * i, 2 * i + 1) for i in range(1, 150)],
         {"other_outside_giant": 0, "line_counts": {2: 149}},
+    ),
+    # at n = 50,000 the vertex-pair keys min * n + max of the last vertices
+    # pass 2**31: two loops at vertex 49,997 (the search's start) and a
+    # triple edge joining 49,998 and 49,999. A wrapped loop key would no
+    # longer be a multiple of n + 1, and the loops would count as parallel
+    "keys_above_int32": (
+        [2] * 49_997 + [4, 3, 3],
+        _cycle(list(range(49_997))) + [(49_997, 49_997)] * 2 + [(49_998, 49_999)] * 3,
+        {"giant_size": 49_997, "self_loops": 2, "multi_edges": 3,
+         "cycle_counts": {49_997: 1}, "other_outside_giant": 3, "deg3_outside_giant": 3},
     ),
 }
 

@@ -1,9 +1,13 @@
 """scipy is imported on first use, not with the package.
 
-Only the census above `census._UNION_FIND_MAX_N` vertices and the
-log-counts of `theory` call scipy, and importing it costs about as much
-as the whole exact oracle on its reference sequences. These checks run in
-a fresh interpreter: this test session has scipy loaded already
+Only two kinds of call load scipy: a census above
+`census._UNION_FIND_MAX_N` vertices (scipy.sparse), and the log-counts of
+`theory` (scipy.special), which `predict` computes when it is handed a
+sequence, as `cmlab theory` with a degree source does. A Monte Carlo run
+predicts without a sequence, so `cmlab simulate` on a small sequence
+loads none of scipy. Importing it costs about as much as the whole exact
+oracle on its reference sequences. These checks run in a fresh
+interpreter: this test session has scipy loaded already
 (`reference_census` imports it).
 """
 
@@ -40,6 +44,10 @@ def test_oracle_and_small_census_load_no_scipy():
         step("cmlab enumerate")
         theory.predict(degseq.LimitParams(rho1=1.0, p2=0.3, d=2.7, nu=2.0))
         step("predict without a sequence")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["simulate", "--counts", "1:10,2:30,3:60",
+                            "--replicates", "50", "--seed", "3"]) == 0
+        step("cmlab simulate")
         for name, n in (("union-find census", census._UNION_FIND_MAX_N),
                         ("census at n=1000", 1000)):
             seq = degseq.build_sequence(n, 1.0, 0.3, 3)
@@ -54,6 +62,7 @@ def test_oracle_and_small_census_load_no_scipy():
         "exact_law": [],
         "cmlab enumerate": [],
         "predict without a sequence": [],
+        "cmlab simulate": [],
         "union-find census": [],
     }
     # the search path is what loads scipy; if this fails, the switch moved

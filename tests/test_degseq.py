@@ -44,11 +44,24 @@ def test_validate_rejects_degree_above_int32(raw, vertex, degree):
         degseq.validate(raw)
 
 
-def test_validate_accepts_degree_at_int32_bound():
-    s = degseq.validate([2**31 - 1, 1])
-    assert s.degrees.tolist() == [2**31 - 1, 1]
-    assert s.counts == {1: 1, 2**31 - 1: 1}
-    assert s.ell == 2**31
+def test_validate_accepts_total_degree_at_int32_bound():
+    """The largest even total, 2**31 - 2, still fits the int32 half-edge
+    offsets."""
+    s = degseq.validate([2**31 - 3, 1])
+    assert s.degrees.tolist() == [2**31 - 3, 1]
+    assert s.counts == {1: 1, 2**31 - 3: 1}
+    assert s.ell == 2**31 - 2
+    assert s.half_edge_offsets.tolist() == [0, 2**31 - 3, 2**31 - 2]
+
+
+@pytest.mark.parametrize("raw", [[2**31 - 1, 1], [2**31 - 1, 2**31 - 1],
+                                 [2**30, 2**30, 2]])
+def test_validate_rejects_total_degree_above_int32(raw):
+    """Half-edge ids and offsets are int32: a larger total is an error
+    naming it and the bound, raised before any ell-sized array exists."""
+    with pytest.raises(ZeroOrNegativeDegree,
+                       match=rf"^total degree {sum(raw)} is above the bound 2\*\*31 - 1"):
+        degseq.validate(raw)
 
 
 def test_validate_rejects_zero_degree():
