@@ -92,7 +92,7 @@ def _check_degrees(g: Multigraph, degrees: DegreeSequence) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComponentCensus:
     """Counts of every statistic with a predicted limit law.
 

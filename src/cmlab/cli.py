@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_degree_source(p)
     p.add_argument("--cap", type=int, default=oracle.HALF_EDGE_CAP,
                    help="half-edge enumeration cap; it bounds half-edges, not "
-                        "memory: {1:4,2:8,3:8} (44 half-edges) takes about 7 s "
-                        "and 350 MiB")
+                        "memory: {1:4,2:8,3:8} (44 half-edges) takes about 5.5 s "
+                        "and 290 MiB")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -18,6 +18,14 @@ built.
   S and M. A census depends on S and M only through its "S" and "M"
   entries, so the census classifier runs once per distinct structure.
 
+A table keys each count by one integer, S * stride + M, with one stride
+per call, C(ell/2, 2) + 1: M sums C(m, 2) over the multiplicities m of
+the vertex pairs, and as the m sum to at most ell/2, M is at most
+C(ell/2, 2), all edges on one pair. So combining two disjoint parts adds
+their keys with no carry from M into S, and exact_law splits each key
+with divmod once. The root pieces of each vertex order are listed once
+per call, too.
+
 The order of the vertices matters only through the giant's tie-break,
 the lowest vertex among the largest components. Arbitrary-precision
 integers keep the results exact, and every table lives for one call.
@@ -28,7 +36,7 @@ on a 2-core machine, while {1:16}, 2,027,025 matchings that are each a
 multigraph of their own, takes milliseconds. The cap bounds half-edges,
 not memory: the tables grow with the number of distinct outcomes, and
 with a raised cap {1:4,2:8,3:8} (ell 44, 223,449 outcomes) takes about
-7 s and 350 MiB.
+5.5 s and 290 MiB.
 """
 
 from __future__ import annotations
@@ -86,8 +94,12 @@ def enumerate_matchings(
     return rec(tuple(range(seq.ell)))
 
 
-#: {(self-loops, parallel-edge pairs): number of matchings}
-Table = dict[tuple[int, int], int]
+#: {self-loops * stride + parallel-edge pairs: number of matchings}, with
+#: one stride per exact_law call that exceeds every parallel-edge count
+Table = dict[int, int]
+
+#: the root pieces of a vertex order (see _root_pieces)
+Pieces = list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
 #: a component's (size, #degree 1, #degree 2)
 Signature = tuple[int, int, int]
@@ -98,7 +110,14 @@ Signature = tuple[int, int, int]
 Structure = tuple[Signature, tuple[Signature, ...]]
 
 
-def _matchings(free: tuple[int, ...], memo: dict[tuple[int, ...], Table]) -> Table:
+def _stride(ell: int) -> int:
+    """One more than the most parallel-edge pairs of a matching of ell
+    half-edges: the (S, M) key stride of one exact_law call."""
+    return math.comb(ell // 2, 2) + 1
+
+
+def _matchings(free: tuple[int, ...], memo: dict[tuple[int, ...], Table],
+               stride: int) -> Table:
     """The perfect matchings of vertices with `free` half-edges each (a
     sorted tuple of positive counts), counted by (S, M).
 
@@ -113,42 +132,47 @@ def _matchings(free: tuple[int, ...], memo: dict[tuple[int, ...], Table]) -> Tab
     if table is not None:
         return table
     if not free:
-        memo[free] = table = {(0, 0): 1}
+        memo[free] = table = {0: 1}
         return table
     f, others = free[0], free[1:]
-    # (counts left, self-loops, parallel pairs) -> matchings of f's half-edges
-    spreads: dict[tuple[tuple[int, ...], int, int], int] = {}
+    # (counts left, key of f's edges) -> matchings of f's half-edges
+    spreads: dict[tuple[tuple[int, ...], int], int] = {}
 
-    def spread(i: int, t: int, ways: int, loops: int, multi: int, left: list[int]) -> None:
+    def spread(i: int, t: int, ways: int, key: int, left: list[int]) -> None:
         if t == 0:
-            key = (tuple(sorted(left + list(others[i:]))), loops, multi)
-            spreads[key] = spreads.get(key, 0) + ways
+            at = (tuple(sorted(left + list(others[i:]))), key)
+            spreads[at] = spreads.get(at, 0) + ways
         elif i < len(others):
             g = others[i]
             for r in range(t + 1):
-                spread(i + 1, t - r, ways * math.comb(g, r), loops, multi + r * (r - 1) // 2,
+                spread(i + 1, t - r, ways * math.comb(g, r), key + r * (r - 1) // 2,
                        left + [g - r] if g > r else left)
 
     for j in range(f // 2 + 1):
-        spread(0, f - 2 * j, math.factorial(f) // (math.factorial(j) << j), j, 0, [])
+        spread(0, f - 2 * j, math.factorial(f) // (math.factorial(j) << j), j * stride, [])
     table = {}
-    for (rest, loops, multi), ways in spreads.items():
-        for (s, m), count in _matchings(rest, memo).items():
-            key = (s + loops, m + multi)
+    for (rest, shift), ways in spreads.items():
+        for key, count in _matchings(rest, memo, stride).items():
+            key += shift
             table[key] = table.get(key, 0) + ways * count
     memo[free] = table
     return table
 
 
-def _root_pieces(order: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Every set of the vertices with degrees `order` that holds the first,
-    as (how many such sets, their sorted degrees, the degrees left in
-    order).
+def _root_pieces(order: tuple[int, ...], memo: dict[tuple[int, ...], Pieces]) -> Pieces:
+    """Every set of the vertices with degrees `order` that holds the first
+    and has an even degree sum, as (how many such sets, their sorted
+    degrees, the degrees left in order).
 
     Within a run of equal consecutive degrees any c vertices leave the
     same degrees, so each c stands for C(run, c) sets, C(run - 1, c - 1)
-    in the first vertex's run. The sets are built run by run.
+    in the first vertex's run. The sets are built run by run. A set of
+    odd degree sum has no matching, so it is left out. `memo` holds the
+    pieces of one exact_law call.
     """
+    pieces = memo.get(order)
+    if pieces is not None:
+        return pieces
     runs: list[list[int]] = []
     for d in order:
         if runs and runs[-1][0] == d:
@@ -156,17 +180,20 @@ def _root_pieces(order: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], tup
         else:
             runs.append([d, 1])
     first = 1  # the first run gives at least its first vertex
-    pieces: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(1, (), ())]
+    pieces = [(1, (), ())]
     for d, size in runs:
         pieces = [(ways * math.comb(size - first, c - first), piece + (d,) * c,
                    rest + (d,) * (size - c))
                   for ways, piece, rest in pieces for c in range(first, size + 1)]
         first = 0
-    return [(ways, tuple(sorted(piece)), rest) for ways, piece, rest in pieces]
+    memo[order] = pieces = [(ways, tuple(sorted(piece)), rest)
+                            for ways, piece, rest in pieces if sum(piece) % 2 == 0]
+    return pieces
 
 
 def _connected(degrees: tuple[int, ...], memo: dict[tuple[int, ...], Table],
-               matchings: dict[tuple[int, ...], Table]) -> Table:
+               matchings: dict[tuple[int, ...], Table],
+               pieces: dict[tuple[int, ...], Pieces], stride: int) -> Table:
     """The connected matchings of vertices with the sorted `degrees`,
     counted by (S, M).
 
@@ -175,21 +202,25 @@ def _connected(degrees: tuple[int, ...], memo: dict[tuple[int, ...], Table],
 
         All(D) = sum_T (sets T) * Conn(T) (*) All(D - T),
 
-    where (*) adds S and M. Conn(D) is the term T = D: All(D) less the
-    others. `memo` and `matchings` hold the tables of one exact_law call.
+    where (*) adds S and M, that is, adds the keys. Conn(D) is the term
+    T = D: All(D) less the others. `memo`, `matchings` and `pieces` hold
+    the tables of one exact_law call.
     """
     table = memo.get(degrees)
     if table is not None:
         return table
-    table = dict(_matchings(degrees, matchings))
-    for ways, piece, rest in _root_pieces(degrees):
-        if not rest or sum(piece) % 2:  # T = D, or no matching of T at all
+    table = dict(_matchings(degrees, matchings, stride))
+    for ways, piece, rest in _root_pieces(degrees, pieces):
+        if not rest:  # T = D
             continue
-        conn = _connected(piece, memo, matchings)
-        alls = _matchings(rest, matchings) if conn else {}
-        for (s1, m1), a in conn.items():
-            for (s2, m2), b in alls.items():
-                table[s1 + s2, m1 + m2] -= ways * a * b
+        conn = _connected(piece, memo, matchings, pieces, stride)
+        if not conn:
+            continue
+        alls = _matchings(rest, matchings, stride)
+        for k1, a in conn.items():
+            a *= ways
+            for k2, b in alls.items():
+                table[k1 + k2] -= a * b
     table = {key: count for key, count in table.items() if count}
     memo[degrees] = table
     return table
@@ -197,7 +228,8 @@ def _connected(degrees: tuple[int, ...], memo: dict[tuple[int, ...], Table],
 
 def _summaries(order: tuple[int, ...], memo: dict[tuple[int, ...], dict[Structure, Table]],
                connected: dict[tuple[int, ...], Table],
-               matchings: dict[tuple[int, ...], Table]) -> dict[Structure, Table]:
+               matchings: dict[tuple[int, ...], Table],
+               pieces: dict[tuple[int, ...], Pieces], stride: int) -> dict[Structure, Table]:
     """The matchings of the vertices with degrees `order`, in vertex
     order, counted by (S, M) per component structure.
 
@@ -207,33 +239,33 @@ def _summaries(order: tuple[int, ...], memo: dict[tuple[int, ...], dict[Structur
     placed in front of an as large giant becomes the giant, as the first
     maximum in _classify does. Each structure of the rest is placed once,
     and its (S, M) table is multiplied by the component's. `memo`,
-    `connected` and `matchings` hold the tables of one exact_law call.
+    `connected`, `matchings` and `pieces` hold the tables of one
+    exact_law call.
     """
     out = memo.get(order)
     if out is not None:
         return out
     out = {}
-    for ways, piece, rest in _root_pieces(order):
-        if sum(piece) % 2:
-            continue
-        conn = _connected(piece, connected, matchings)
+    for ways, piece, rest in _root_pieces(order, pieces):
+        conn = _connected(piece, connected, matchings, pieces, stride)
         if not conn:
             continue
         sig = (len(piece), piece.count(1), piece.count(2))
         if not rest:  # one set of all the vertices, one component
             out[sig, ()] = conn
             continue
-        scaled = [(s2, m2, ways * a) for (s2, m2), a in conn.items()]
-        for (giant, others), later in _summaries(rest, memo, connected, matchings).items():
+        scaled = [(k2, ways * a) for k2, a in conn.items()]
+        for (giant, others), later in _summaries(rest, memo, connected, matchings, pieces,
+                                                 stride).items():
             # place this component in front of the rest's
             if sig[0] >= giant[0]:
                 structure = (sig, tuple(sorted(others + (giant,))))
             else:
                 structure = (giant, tuple(sorted(others + (sig,))))
             table = out.setdefault(structure, {})
-            for (s1, m1), b in later.items():
-                for s2, m2, a in scaled:
-                    key = (s1 + s2, m1 + m2)
+            for k1, b in later.items():
+                for k2, a in scaled:
+                    key = k1 + k2
                     table[key] = table.get(key, 0) + a * b
     memo[order] = out
     return out
@@ -304,11 +336,13 @@ def exact_law(seq: DegreeSequence, cap: int = HALF_EDGE_CAP) -> ExactLaw:
     per component structure and (S, M) by _summaries, and each structure
     is classified once. Raises TooLarge, before any counting, when ell
     exceeds `cap`. The cap bounds half-edges, not memory: a raised cap
-    lets {1:4,2:8,3:8} (ell 44) take about 7 s and 350 MiB on a 2-core
+    lets {1:4,2:8,3:8} (ell 44) take about 5.5 s and 290 MiB on a 2-core
     machine.
     """
     _check_cap(seq, cap)
-    structures = _summaries(tuple(seq.degrees.tolist()), memo={}, connected={}, matchings={})
+    stride = _stride(seq.ell)
+    structures = _summaries(tuple(seq.degrees.tolist()), memo={}, connected={}, matchings={},
+                            pieces={}, stride=stride)
     outcome_counts: dict[CensusKey, int] = {}
     sums: dict[str, int] = {}
     loops_sum = multi_sum = connected = simple = 0
@@ -323,7 +357,8 @@ def exact_law(seq: DegreeSequence, cap: int = HALF_EDGE_CAP) -> ExactLaw:
         at = key.index(("M", 0))
         head, tail = key[:at], key[at + 2:]
         weight = 0
-        for (loops, multi), count in table.items():
+        for packed, count in table.items():
+            loops, multi = divmod(packed, stride)
             outcome = head + (("M", multi), ("S", loops)) + tail
             outcome_counts[outcome] = outcome_counts.get(outcome, 0) + count
             loops_sum += count * loops
@@ -333,7 +368,7 @@ def exact_law(seq: DegreeSequence, cap: int = HALF_EDGE_CAP) -> ExactLaw:
             sums[stat] = sums.get(stat, 0) + weight * value
         if census.complement == 0:
             connected += weight
-        simple += table.get((0, 0), 0)
+        simple += table.get(0, 0)  # S = M = 0
     sums["S"], sums["M"] = loops_sum, multi_sum
     total = sum(outcome_counts.values())
     if total != double_factorial_odd(seq.ell):

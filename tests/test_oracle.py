@@ -272,9 +272,9 @@ def test_exact_law_keeps_no_tables_between_calls(monkeypatch):
     calls = []
     matchings = oracle._matchings
 
-    def counting_matchings(free, memo):
+    def counting_matchings(free, memo, stride):
         calls.append(free)
-        return matchings(free, memo)
+        return matchings(free, memo, stride)
 
     monkeypatch.setattr(oracle, "_matchings", counting_matchings)
     seq = degseq.from_counts({1: 2, 2: 3, 3: 2})
@@ -288,8 +288,10 @@ def test_exact_law_keeps_no_tables_between_calls(monkeypatch):
 # sha256 of `cmlab enumerate --counts C [--cap N]` stdout, recorded while exact_law
 # still walked every multigraph; the report must not change by a byte. The
 # last two at the default cap lie at ell = 16, where the two ways of
-# counting differ most. The two with `--cap` lie beyond any walk's reach and
-# were recorded while exact_law counted per (S, M) summary
+# counting differ most. The ones with `--cap` lie beyond any walk's reach:
+# the first two were recorded while exact_law counted per (S, M) summary,
+# the last (30,175 outcomes, key stride 137) while its tables were keyed
+# by (S, M) pairs
 ENUMERATE_SHA256 = {
     "1:2,2:3,3:2": "1e72d6c78223bf3b8d393184632d6df94600d0a0a4860369c51c7d8dd13a2909",
     "2:7": "dc61ad2f68e617683e9de245109a537ce9b5f0a3c7c80e89b536f60660ea0cf9",
@@ -300,6 +302,7 @@ ENUMERATE_SHA256 = {
     "1:8,2:4": "758a37e29bd9ad4d7e429c3a849422e96486fc84a7e97430296a2c15234be31a",
     "3:10 --cap 30": "5fdc7852220d7feb2a1bef126876747a90f4a9396acd6f28ab545af52f80e115",
     "1:2,2:4,3:6 --cap 28": "8d71abe51282f2a41b91c7c1184d5c0395d4afe513f65162b20983c54145e441",
+    "1:4,2:6,3:6 --cap 34": "7b257630c9b6b50648231a36efa89dc81b080377e2a34acf75c7761ad2565a92",
 }
 
 
@@ -308,6 +311,29 @@ def test_enumerate_report_bytes_pinned(args, capsys):
     assert cli.run(["enumerate", "--counts", *args.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[args]
+
+
+@pytest.mark.parametrize("k, cap", [(k, oracle.HALF_EDGE_CAP) for k in range(2, 9)]
+                         + [(10, 20), (12, 24)])
+def test_two_vertex_loops_and_parallel_pairs_law(k, cap):
+    """{k:2}: r edges join the two vertices and each keeps (k - r)/2
+    self-loops, so S = k - r and M = C(r, 2), in C(k, r)^2 r! ((k-r-1)!!)^2
+    of the (2k-1)!! matchings. At r = k, M = C(k, 2) is the most
+    parallel-edge pairs of any matching of 2k half-edges: one less than
+    the stride of exact_law's (S, M) keys."""
+    law = oracle.exact_law(degseq.from_counts({k: 2}), cap=cap)
+    got = Counter()
+    for key, p in law.joint_pmf.items():
+        stats = dict(key)
+        got[stats["S"], stats["M"]] += p
+    total = oracle.double_factorial_odd(2 * k)
+    assert got == {
+        (k - r, math.comb(r, 2)): Fraction(
+            math.comb(k, r) ** 2 * math.factorial(r) * oracle.double_factorial_odd(k - r) ** 2,
+            total)
+        for r in range(k % 2, k + 1, 2)
+    }
+    assert max(m for _, m in got) == oracle._stride(2 * k) - 1
 
 
 @pytest.mark.parametrize("k", range(2, 13))
