@@ -28,10 +28,9 @@ from .montecarlo import (
     run_experiment,
     sweep,
 )
-from .oracle import ExactLaw, enumerate_matchings, exact_law
+from .oracle import ExactLaw, exact_law
 from .theory import (
     Prediction,
-    boundary_p_connected,
     complement_pmf,
     expected_complement,
     lambda_cycle,
@@ -39,7 +38,6 @@ from .theory import (
     log_count_connected_simple,
     p_connected,
     p_connected_given_simple,
-    p_no_line2_exact,
     p_simple,
     predict,
 )
@@ -56,11 +54,9 @@ __all__ = [
     "Multigraph",
     "Prediction",
     "Seed",
-    "boundary_p_connected",
     "build_sequence",
     "complement_pmf",
     "component_census",
-    "enumerate_matchings",
     "exact_law",
     "expected_complement",
     "is_connected",
@@ -71,7 +67,6 @@ __all__ = [
     "log_count_connected_simple",
     "p_connected",
     "p_connected_given_simple",
-    "p_no_line2_exact",
     "p_simple",
     "predict",
     "run_experiment",

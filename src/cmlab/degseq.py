@@ -173,7 +173,19 @@ def validate(raw_degrees) -> DegreeSequence:
 
 
 def from_counts(counts: dict[int, int]) -> DegreeSequence:
-    """Build a validated sequence from a degree -> multiplicity map."""
+    """Build a validated sequence from a degree -> multiplicity map.
+
+    validate's bound on the total degree, and so on the vertex count (a
+    valid sequence has n <= ell), is checked first with Python ints: a
+    huge multiplicity raises ZeroOrNegativeDegree before an array of that
+    length is asked for.
+    """
+    ell = sum(deg * m for deg, m in counts.items())
+    if ell > DEGREE_MAX:
+        raise ZeroOrNegativeDegree(f"total degree {ell} is above the bound 2**31 - 1")
+    n = sum(counts.values())
+    if n > DEGREE_MAX:
+        raise ZeroOrNegativeDegree(f"vertex count {n} is above the bound 2**31 - 1")
     parts = [np.full(m, deg, dtype=np.int64) for deg, m in sorted(counts.items())]
     if not parts:
         raise ZeroOrNegativeDegree("counts map is empty")

@@ -4,10 +4,11 @@ Replicate i draws its graph from Seed(master_seed, i), so results are a
 pure function of the configuration. Every reported statistic is one entry
 of an ordered table (`_STATS`): its name, the integer it reads from each
 replicate's census, and its theory value. The replicates are split into
-at most `threads` contiguous ranges; each range adds its integers into its
-own fixed-size accumulator, and the accumulators are merged by integer
-addition. Integer addition is exact, so the same config gives
-byte-identical JSON reports on any machine and for any thread count.
+at most `threads` contiguous ranges, run by at most os.cpu_count() pool
+workers at once; each range adds its integers into its own fixed-size
+accumulator, and the accumulators are merged by integer addition.
+Integer addition is exact, so the same config gives byte-identical JSON
+reports on any machine and for any thread count.
 Each range also allocates its working arrays once, 16.5 bytes a
 half-edge: the pairing buffer and the census's CensusBuffers. It reuses
 them for every replicate, allocates nothing ell-sized per replicate, and
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
@@ -318,8 +320,10 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     ranges = [range(r * k // parts, r * (k + 1) // parts) for k in range(parts)]
     fill = partial(_fill, seq, cfg.master_seed, cfg.x_max)
     # a lone range runs on the calling thread: in a pool thread it gets a
-    # malloc arena of its own, which raised the peak RSS of 1-thread runs
-    with ThreadPoolExecutor(max_workers=parts) as pool:
+    # malloc arena of its own, which raised the peak RSS of 1-thread runs.
+    # A range's buffers live while it runs, so no more run at once than
+    # there are CPUs to run them
+    with ThreadPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
         acc = reduce(_Accumulator.merge, (pool.map if parts > 1 else map)(fill, ranges))
 
     params = limit_params(seq)

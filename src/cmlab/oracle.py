@@ -313,6 +313,8 @@ class ExactLaw:
         return self.census_expectations.get(stat, Fraction(0))
 
     def to_json_dict(self) -> dict:
+        """The law with rationals as strings; in no set key order, as every
+        writer dumps it with sort_keys."""
         return {
             "n": self.n,
             "ell": self.ell,
@@ -320,11 +322,11 @@ class ExactLaw:
             "p_connected": str(self.p_connected),
             "p_simple": str(self.p_simple),
             "census_expectations": {
-                k: str(v) for k, v in sorted(self.census_expectations.items())
+                k: str(v) for k, v in self.census_expectations.items()
             },
             "joint_pmf": {
-                ",".join(f"{s}={v}" for s, v in key): str(p)
-                for key, p in sorted(self.joint_pmf.items())
+                ",".join([f"{s}={v}" for s, v in key]): str(p)
+                for key, p in self.joint_pmf.items()
             },
         }
 

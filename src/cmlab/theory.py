@@ -101,9 +101,9 @@ def expected_complement(p: LimitParams) -> float:
     """Expected number of vertices outside the largest component.
 
     Computed as sum_k k*(lambda_cycle(k) + lambda_line(k)), truncated once
-    a term falls below SERIES_TOL; the geometric closed forms p2/(d-2p2)
-    and rho1^2 (d-p2)/(d-2p2)^2 are kept in
-    expected_complement_closed_form as a cross-check.
+    a term falls below SERIES_TOL. The sum's geometric closed form,
+    p2/(d-2p2) + rho1^2 (d-p2)/(d-2p2)^2, is checked against it in the
+    theory tests.
     """
     value, _ = _complement_series(p)
     return value
@@ -128,14 +128,6 @@ def _complement_series(p: LimitParams) -> tuple[float, float]:
     c = p.rho1**2 / (2 * p.d)
     line_tail = c * x ** (m - 2) * (m - (m - 1) * x) / (1 - x) ** 2
     return total, cycle_tail + line_tail
-
-
-def expected_complement_closed_form(p: LimitParams) -> float:
-    """Geometric closed form of the complement-expectation series."""
-    _require_series(p)
-    cycles = p.p2 / (p.d - 2 * p.p2)
-    lines = p.rho1**2 * (p.d - p.p2) / (p.d - 2 * p.p2) ** 2
-    return cycles + lines
 
 
 def paper_closed_form_complement(p: LimitParams) -> float:
@@ -276,14 +268,6 @@ def log_count_connected_simple(seq: DegreeSequence, p: LimitParams) -> float:
     return log_count_simple(seq, p) + log_p
 
 
-def boundary_p_connected(seq: DegreeSequence) -> float:
-    """Connectivity limit in the divergent-mean-degree boundary regime.
-
-    exp(-n1^2/(2*ell)) evaluated with the sequence's own n1 and ell.
-    """
-    return math.exp(-seq.n1**2 / (2 * seq.ell))
-
-
 def p_no_line2_fraction(seq: DegreeSequence) -> Fraction:
     """Exact rational probability that no two degree-1 vertices are paired.
 
@@ -297,11 +281,6 @@ def p_no_line2_fraction(seq: DegreeSequence) -> Fraction:
     for i in range(1, n1 + 1):
         prod *= Fraction(ell - n1 - i + 1, ell - 2 * i + 1)
     return prod
-
-
-def p_no_line2_exact(seq: DegreeSequence) -> float:
-    """Float value of the exact finite-n probability of no length-2 line."""
-    return float(p_no_line2_fraction(seq))
 
 
 @dataclass(frozen=True)

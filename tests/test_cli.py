@@ -110,6 +110,15 @@ def test_analyze_graph_file_with_wrong_degrees(tmp_path, capsys):
     assert "vertex 1: realized degree 2 != prescribed 1" in err
 
 
+def test_analyze_huge_count_is_an_error(small_np_full, capsys):
+    """A count beyond the total-degree bound exits 1 with the bound, before
+    any array of that length is asked for."""
+    code, out, err = _run(["analyze", "--counts", "3:10000000000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "total degree 30000000000 is above the bound 2**31 - 1" in err
+
+
 def test_simulate_reproducible_stdout(capsys):
     argv = [
         "simulate", "--n", "300", "--rho1", "1.0", "--p2", "0.3",

@@ -64,6 +64,29 @@ def test_validate_rejects_total_degree_above_int32(raw):
         degseq.validate(raw)
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        pytest.param(lambda: degseq.from_counts({3: 10**10}),
+                     "total degree 30000000000", id="from_counts"),
+        pytest.param(lambda: degseq.from_counts({1: 2, 2: 2**30}),
+                     "total degree 2147483650", id="from_counts_just_above"),
+        pytest.param(lambda: degseq.from_counts({0: 10**10, 2: 1}),
+                     "vertex count 10000000001", id="from_counts_zero_degree"),
+        pytest.param(lambda: degseq.build_sequence(10**11, 1, 0.3, 3),
+                     "total degree 269999367544", id="build_sequence"),
+        pytest.param(lambda: degseq.parse_degrees("3 5000000000\n"),
+                     "total degree 15000000000", id="parse_degrees"),
+    ],
+)
+def test_huge_counts_raise_before_any_array(small_np_full, make, message):
+    """A multiplicity beyond the total-degree bound is an error raised
+    before any array of that length is asked for."""
+    with pytest.raises(ZeroOrNegativeDegree,
+                       match=rf"^{message} is above the bound 2\*\*31 - 1"):
+        make()
+
+
 def test_validate_rejects_zero_degree():
     with pytest.raises(ZeroOrNegativeDegree):
         degseq.validate([0, 2, 2])

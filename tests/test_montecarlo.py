@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import statistics
 import tracemalloc
 from dataclasses import replace
@@ -79,6 +80,25 @@ def test_thread_pool_gets_one_task_per_range(monkeypatch):
     two = montecarlo.run_experiment(cfg).to_json()
     assert len(calls) <= cfg.threads
     assert two == montecarlo.run_experiment(replace(cfg, threads=1)).to_json()
+
+
+def test_thread_pool_has_at_most_cpu_count_workers(monkeypatch):
+    """threads=16 still splits the replicates into 16 ranges, but a range's
+    buffers live while it runs, so the pool runs no more of them at once
+    than there are CPUs; the report is the 1-thread one."""
+    workers = []
+
+    class RecordingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _cfg(seq=degseq.validate([1, 1, 2, 2]), replicates=64, threads=16)
+    sixteen = montecarlo.run_experiment(cfg).to_json()
+    assert workers == [2]
+    assert sixteen == montecarlo.run_experiment(replace(cfg, threads=1)).to_json()
 
 
 def test_fill_memory_does_not_grow_with_replicates():

@@ -75,7 +75,10 @@ def test_p_connected_given_simple_values():
 def test_expected_complement_series_and_closed_forms():
     assert theory.expected_complement(LimitParams(0, 0, 3, 2.0)) == 0.0
     assert theory.expected_complement(P) == pytest.approx(0.6870748299319729, abs=1e-9)
-    assert theory.expected_complement_closed_form(P) == pytest.approx(
+    # the series' geometric closed form: p2/(d-2p2) + rho1^2 (d-p2)/(d-2p2)^2
+    closed_form = (P.p2 / (P.d - 2 * P.p2)
+                   + P.rho1**2 * (P.d - P.p2) / (P.d - 2 * P.p2) ** 2)
+    assert closed_form == pytest.approx(
         0.14285714285714285 + 0.54421768707483, abs=1e-12
     )
     only_cycles = LimitParams(0.0, 0.3, 2.7, 16 / 9)
@@ -271,23 +274,13 @@ def test_log_count_connected_below_simple_count():
         assert connected <= simple
 
 
-def test_boundary_p_connected():
-    assert theory.boundary_p_connected(degseq.validate([2, 2])) == 1.0
-    seq = degseq.from_counts({1: 2, 2: 49})  # n1=2, ell=100
-    assert theory.boundary_p_connected(seq) == pytest.approx(
-        math.exp(-0.02), abs=1e-12
-    )
-    seq = degseq.from_counts({1: 10, 2: 45})  # n1=10, ell=100
-    assert theory.boundary_p_connected(seq) == pytest.approx(
-        math.exp(-0.5), abs=1e-12
-    )
-
-
 def test_p_no_line2_exact_values():
-    assert theory.p_no_line2_exact(degseq.validate([2, 2])) == 1.0  # empty product
+    assert float(theory.p_no_line2_fraction(degseq.validate([2, 2]))) == 1.0  # empty product
     seq = degseq.from_counts({1: 2, 2: 49})
     assert theory.p_no_line2_fraction(seq) == Fraction(98, 99)
-    assert theory.p_no_line2_exact(seq) == pytest.approx(0.98989898989899, abs=1e-12)
+    assert float(theory.p_no_line2_fraction(seq)) == pytest.approx(
+        0.98989898989899, abs=1e-12
+    )
     # [1,1,2]: product (2/3)*(1/1); the exhaustive oracle agrees exactly
     assert theory.p_no_line2_fraction(degseq.validate([1, 1, 2])) == Fraction(2, 3)
 
@@ -305,7 +298,7 @@ def test_no_line2_approaches_boundary_formula():
         n1 = round(math.sqrt(0.04 * ell))
         seq = degseq.from_counts({1: n1, 2: (ell - n1) // 2})
         assert seq.ell == ell
-        gaps.append(abs(theory.p_no_line2_exact(seq) - target))
+        gaps.append(abs(float(theory.p_no_line2_fraction(seq)) - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
 
