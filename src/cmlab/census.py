@@ -371,12 +371,13 @@ class ExplorationTrace:
 
 def run_exploration(
     seq: DegreeSequence,
-    seed: Seed | np.random.Generator | int,
+    seed: Seed,
     start: int,
     run_to_completion: bool = False,
 ) -> ExplorationTrace:
     """Explore the component of `start` in the graph `generator.sample`
-    draws from `seed`, revealing its pairing one pair at a time.
+    draws from `seed`, revealing the pairing `sample_pairing(seq, seed)`
+    gives one pair at a time.
 
     Each step reveals the partner of the most recently activated
     half-edge; by deferred decisions (see the module docstring) it is

@@ -176,9 +176,10 @@ def from_counts(counts: dict[int, int]) -> DegreeSequence:
     """Build a validated sequence from a degree -> multiplicity map.
 
     validate's bound on the total degree, and so on the vertex count (a
-    valid sequence has n <= ell), is checked first with Python ints: a
-    huge multiplicity raises ZeroOrNegativeDegree before an array of that
-    length is asked for.
+    valid sequence has n <= ell), is checked first with Python ints, then
+    that every degree is an integer in 1..DEGREE_MAX and every
+    multiplicity an integer >= 0. Each raises ZeroOrNegativeDegree, naming
+    the total, the count or the degree, before any array is asked for.
     """
     ell = sum(deg * m for deg, m in counts.items())
     if ell > DEGREE_MAX:
@@ -186,6 +187,13 @@ def from_counts(counts: dict[int, int]) -> DegreeSequence:
     n = sum(counts.values())
     if n > DEGREE_MAX:
         raise ZeroOrNegativeDegree(f"vertex count {n} is above the bound 2**31 - 1")
+    for deg, m in counts.items():
+        if not (isinstance(deg, (int, np.integer)) and 1 <= deg <= DEGREE_MAX):
+            raise ZeroOrNegativeDegree(
+                f"degree {deg!r} is not an integer in 1..2**31 - 1")
+        if not (isinstance(m, (int, np.integer)) and m >= 0):
+            raise ZeroOrNegativeDegree(
+                f"degree {deg} has multiplicity {m!r}, not an integer >= 0")
     parts = [np.full(m, deg, dtype=np.int64) for deg, m in sorted(counts.items())]
     if not parts:
         raise ZeroOrNegativeDegree("counts map is empty")

@@ -7,7 +7,9 @@ class CmlabError(Exception):
 
 class ZeroOrNegativeDegree(CmlabError):
     """A degree sequence is not a nonempty list of integer degrees, holds
-    one below 1 or above 2**31 - 1, or has a total above 2**31 - 1."""
+    one below 1 or above 2**31 - 1, or has a total above 2**31 - 1; or a
+    degree -> multiplicity map has a multiplicity that is not an integer
+    >= 0."""
 
 
 class OddTotalDegree(CmlabError):
@@ -56,6 +58,6 @@ class InvalidLimitParams(CmlabError):
 
 
 class InvalidConfig(CmlabError, ValueError):
-    """An ExperimentConfig field is out of range, or the config does not
-    name exactly one of seq and targets. A ValueError too, as these were
-    before they had their own type."""
+    """An ExperimentConfig or Seed field is out of range, or the config
+    does not name exactly one of seq and targets. A ValueError too, as
+    these were before they had their own type."""

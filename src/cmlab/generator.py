@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .degseq import DegreeSequence
-from .errors import MalformedEdgeList
+from .errors import InvalidConfig, MalformedEdgeList
 
 _U64 = 2**64
 
@@ -39,22 +39,15 @@ class Seed:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master < _U64:
-            raise ValueError("master must be a 64-bit unsigned integer")
-        if not 0 <= self.stream < _U64:
-            raise ValueError("stream must be a 64-bit unsigned integer")
+        for name in ("master", "stream"):
+            value = getattr(self, name)
+            if not 0 <= value < _U64:
+                raise InvalidConfig(
+                    f"{name} must be a 64-bit unsigned integer, got {value}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.master, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
-
-
-def _as_generator(seed: Seed | np.random.Generator | int) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, Seed):
-        return seed.generator()
-    return Seed(master=int(seed)).generator()
 
 
 @dataclass(frozen=True)
@@ -96,22 +89,20 @@ class Multigraph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
-def sample_pairing(
-    seq: DegreeSequence, seed: Seed | np.random.Generator | int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def sample_pairing(seq: DegreeSequence, seed: Seed,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Draw a uniform perfect matching of the half-edges.
 
     Returns an (ell/2, 2) array of half-edge ids: a single uniform shuffle,
-    paired at positions (2i, 2i+1). Deterministic given the seed.
+    paired at positions (2i, 2i+1), drawn from `seed.generator()`, so the
+    pairing is a pure function of the seed.
 
     With `out`, an int64 array of ell entries, the shuffle runs in it and
     the result is a view of it, whatever `out` held before, with no
     allocation: a caller drawing many pairings of one sequence passes one
     buffer to all of them. Without it the buffer is allocated here. Either
-    way the ids are the ones `rng.permutation(ell)` gives.
+    way the ids are the ones `seed.generator().permutation(ell)` gives.
     """
-    rng = _as_generator(seed)
     if out is None:
         out = np.empty(seq.ell, dtype=np.int64)
     elif out.shape != (seq.ell,) or out.dtype != np.int64:
@@ -126,14 +117,15 @@ def sample_pairing(
         block = out[done:2 * done]
         np.add(out[:len(block)], done, out=block)
         done *= 2
-    rng.shuffle(out)
+    seed.generator().shuffle(out)
     return out.reshape(-1, 2)
 
 
-def sample(seq: DegreeSequence, seed: Seed | np.random.Generator | int,
+def sample(seq: DegreeSequence, seed: Seed,
            out: np.ndarray | None = None) -> Multigraph:
-    """Sample a uniform half-edge pairing as a multigraph of `seq`; `out`
-    is sample_pairing's buffer, so the graph lives only until its next use."""
+    """Sample the uniform half-edge pairing `seed` determines as a
+    multigraph of `seq`; `out` is sample_pairing's buffer, so the graph
+    lives only until its next use."""
     return Multigraph(n=seq.n, owners=seq.half_edge_owners,
                       pairing=sample_pairing(seq, seed, out))
 

@@ -119,6 +119,45 @@ def test_analyze_huge_count_is_an_error(small_np_full, capsys):
     assert "total degree 30000000000 is above the bound 2**31 - 1" in err
 
 
+def test_analyze_zero_degree_count_is_an_error(small_np_full, capsys):
+    """A degree-0 count whose totals are in bound exits 1 naming the
+    degree, before any array is asked for."""
+    code, out, err = _run(["analyze", "--counts", "0:2000000000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "degree 0 is not an integer in 1..2**31 - 1" in err
+
+
+def test_analyze_skips_empty_degree_items(capsys):
+    code, out, _ = _run(["analyze", "--degrees", "1,,1"], capsys)
+    assert code == 0
+    assert out == _run(["analyze", "--degrees", "1,1"], capsys)[1]
+
+
+def test_analyze_comment_only_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "degs.txt"
+    path.write_text("# no degrees\n# at all\n", encoding="utf-8")
+    code, out, err = _run(["analyze", "--file", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "counts map is empty" in err
+
+
+def test_theory_without_params_or_source_is_an_error(capsys):
+    code, out, err = _run(["theory", "--rho1", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--rho1/--p2/--d" in err
+    assert "degree-sequence source" in err
+
+
+def test_generate_negative_seed_gives_the_value(capsys):
+    code, out, err = _run(["generate", "--counts", "2:2", "--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: master must be a 64-bit unsigned integer, got -1\n"
+
+
 def test_simulate_reproducible_stdout(capsys):
     argv = [
         "simulate", "--n", "300", "--rho1", "1.0", "--p2", "0.3",

@@ -87,6 +87,24 @@ def test_huge_counts_raise_before_any_array(small_np_full, make, message):
         make()
 
 
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        pytest.param({0: 2_000_000_000}, r"degree 0 is not an integer", id="zero_degree"),
+        pytest.param({-1: 10**9, 2: 10**9}, r"degree -1 is not an integer",
+                     id="negative_degree"),
+        pytest.param({2: -1, 4: 1}, r"degree 2 has multiplicity -1,", id="negative_count"),
+        pytest.param({2: 2.5}, r"degree 2 has multiplicity 2\.5,", id="fractional_count"),
+    ],
+)
+def test_from_counts_rejects_bad_degree_or_count(small_np_full, counts, message):
+    """A degree outside 1..2**31 - 1 or a multiplicity that is not an
+    integer >= 0 is a ZeroOrNegativeDegree naming the degree, raised
+    before any array is asked for, even when the totals are in bound."""
+    with pytest.raises(ZeroOrNegativeDegree, match=rf"^{message}"):
+        degseq.from_counts(counts)
+
+
 def test_validate_rejects_zero_degree():
     with pytest.raises(ZeroOrNegativeDegree):
         degseq.validate([0, 2, 2])
@@ -145,6 +163,13 @@ def test_build_sequence_parity_repair():
     assert s.ell % 2 == 0
     assert s.counts[4] == 1  # exactly one bulk vertex bumped
     assert sum(s.counts.values()) == 5
+
+
+def test_build_sequence_parity_repair_of_the_only_bulk_vertex():
+    # n1 = 0, n2 = 1, one bulk vertex: 2 + 3 = 5 is odd, so the bulk
+    # vertex becomes degree 4 and the emptied degree-3 count is dropped
+    s = degseq.build_sequence(2, 0.0, 0.5, 3)
+    assert s.counts == {2: 1, 4: 1}
 
 
 def test_build_sequence_parity_unrepairable():

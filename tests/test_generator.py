@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from scipy.stats import chi2
 
 from cmlab import degseq, generator, oracle
+from cmlab.errors import InvalidConfig
 
 from test_degseq import degree_sequences
 
@@ -87,6 +88,13 @@ def test_seed_range_validated():
         generator.Seed(-1)
     with pytest.raises(ValueError):
         generator.Seed(0, 2**64)
+
+
+@pytest.mark.parametrize("field,args", [("master", (-1,)), ("stream", (0, -1))])
+def test_seed_out_of_range_is_a_cmlab_error_giving_the_value(field, args):
+    with pytest.raises(InvalidConfig,
+                       match=rf"^{field} must be a 64-bit unsigned integer, got -1$"):
+        generator.Seed(*args)
 
 
 @settings(max_examples=50, deadline=None)
