@@ -172,6 +172,11 @@ def validate(raw_degrees) -> DegreeSequence:
     return DegreeSequence(degrees=out, n=int(degrees.size), ell=ell, counts=counts)
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def from_counts(counts: dict[int, int]) -> DegreeSequence:
     """Build a validated sequence from a degree -> multiplicity map.
 
@@ -188,10 +193,10 @@ def from_counts(counts: dict[int, int]) -> DegreeSequence:
     if n > DEGREE_MAX:
         raise ZeroOrNegativeDegree(f"vertex count {n} is above the bound 2**31 - 1")
     for deg, m in counts.items():
-        if not (isinstance(deg, (int, np.integer)) and 1 <= deg <= DEGREE_MAX):
+        if not (is_integer(deg) and 1 <= deg <= DEGREE_MAX):
             raise ZeroOrNegativeDegree(
                 f"degree {deg!r} is not an integer in 1..2**31 - 1")
-        if not (isinstance(m, (int, np.integer)) and m >= 0):
+        if not (is_integer(m) and m >= 0):
             raise ZeroOrNegativeDegree(
                 f"degree {deg} has multiplicity {m!r}, not an integer >= 0")
     parts = [np.full(m, deg, dtype=np.int64) for deg, m in sorted(counts.items())]
@@ -219,16 +224,17 @@ def limit_params(seq: DegreeSequence) -> LimitParams:
 
 
 def check_build_targets(n: int, rho1: float, p2: float, bulk_degree: int) -> None:
-    """Raise InfeasibleTargets, naming the field, unless n >= 1, rho1 is
-    finite and >= 0, 0 <= p2 < 1 and bulk_degree >= 3 (NaN fails)."""
-    if not n >= 1:
-        raise InfeasibleTargets(f"n must be >= 1, got {n}")
+    """Raise InfeasibleTargets, naming the field, unless n is an integer
+    >= 1, rho1 is finite and >= 0, 0 <= p2 < 1 and bulk_degree is an
+    integer >= 3 (NaN fails)."""
+    if not (is_integer(n) and n >= 1):
+        raise InfeasibleTargets(f"n must be an integer >= 1, got {n}")
     if not (math.isfinite(rho1) and rho1 >= 0):
         raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {rho1}")
     if not 0 <= p2 < 1:
         raise InfeasibleTargets(f"p2 must be in [0, 1), got {p2}")
-    if not bulk_degree >= 3:
-        raise InfeasibleTargets(f"bulk_degree must be >= 3, got {bulk_degree}")
+    if not (is_integer(bulk_degree) and bulk_degree >= 3):
+        raise InfeasibleTargets(f"bulk_degree must be an integer >= 3, got {bulk_degree}")
 
 
 def build_sequence(

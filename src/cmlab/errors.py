@@ -58,6 +58,6 @@ class InvalidLimitParams(CmlabError):
 
 
 class InvalidConfig(CmlabError, ValueError):
-    """An ExperimentConfig or Seed field is out of range, or the config
-    does not name exactly one of seq and targets. A ValueError too, as
-    these were before they had their own type."""
+    """An ExperimentConfig or Seed field is not an integer or is out of
+    range, or the config does not name exactly one of seq and targets. A
+    ValueError too, as these were before they had their own type."""

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .degseq import DegreeSequence
+from .degseq import DegreeSequence, is_integer
 from .errors import InvalidConfig, MalformedEdgeList
 
 _U64 = 2**64
@@ -32,7 +32,8 @@ class Seed:
     Streams index independent replicates. Derivation goes through numpy's
     SeedSequence, which hashes (master, stream) into the PCG64 state, so
     streams are independent and order-insensitive, and identical seeds give
-    identical samples on every platform.
+    identical samples on every platform. Each field must be a Python or
+    numpy integer in 0..2**64 - 1, not a bool; else InvalidConfig.
     """
 
     master: int
@@ -41,7 +42,7 @@ class Seed:
     def __post_init__(self):
         for name in ("master", "stream"):
             value = getattr(self, name)
-            if not 0 <= value < _U64:
+            if not (is_integer(value) and 0 <= value < _U64):
                 raise InvalidConfig(
                     f"{name} must be a 64-bit unsigned integer, got {value}")
 

@@ -95,6 +95,7 @@ def test_huge_counts_raise_before_any_array(small_np_full, make, message):
                      id="negative_degree"),
         pytest.param({2: -1, 4: 1}, r"degree 2 has multiplicity -1,", id="negative_count"),
         pytest.param({2: 2.5}, r"degree 2 has multiplicity 2\.5,", id="fractional_count"),
+        pytest.param({2: True}, r"degree 2 has multiplicity True,", id="bool_count"),
     ],
 )
 def test_from_counts_rejects_bad_degree_or_count(small_np_full, counts, message):

@@ -97,6 +97,25 @@ def test_seed_out_of_range_is_a_cmlab_error_giving_the_value(field, args):
         generator.Seed(*args)
 
 
+@pytest.mark.parametrize("field,args,value", [("master", (2.9,), "2.9"),
+                                              ("stream", (1, 0.5), "0.5"),
+                                              ("master", ("3",), "3"),
+                                              ("master", (True,), "True")])
+def test_seed_non_integer_is_a_cmlab_error_giving_the_value(field, args, value):
+    with pytest.raises(InvalidConfig,
+                       match=rf"^{field} must be a 64-bit unsigned integer, got {value}$"):
+        generator.Seed(*args)
+
+
+def test_seed_takes_numpy_integers():
+    s = degseq.validate([2, 2, 3, 3, 2])
+    assert np.array_equal(generator.sample_pairing(s, generator.Seed(np.int64(7))),
+                          generator.sample_pairing(s, generator.Seed(7)))
+    assert np.array_equal(
+        generator.sample_pairing(s, generator.Seed(np.uint64(7), np.int32(2))),
+        generator.sample_pairing(s, generator.Seed(7, 2)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(degree_sequences())
 def test_degree_exactness(raw):
