@@ -7,11 +7,9 @@ reproducible Monte Carlo harness tying them together.
 
 from .census import (
     ComponentCensus,
-    ExplorationTrace,
     component_census,
     is_connected,
     is_simple,
-    run_exploration,
 )
 from .degseq import (
     DegreeSequence,
@@ -49,7 +47,6 @@ __all__ = [
     "EstimateReport",
     "ExactLaw",
     "ExperimentConfig",
-    "ExplorationTrace",
     "LimitParams",
     "Multigraph",
     "Prediction",
@@ -70,7 +67,6 @@ __all__ = [
     "p_simple",
     "predict",
     "run_experiment",
-    "run_exploration",
     "sample",
     "sweep",
     "validate",

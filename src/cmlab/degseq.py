@@ -84,15 +84,16 @@ class DegreeSequence:
 class LimitParams:
     """Limiting window parameters feeding every closed-form prediction.
 
-    rho1 and p2 must be finite and >= 0, d finite and > 0, and nu >= 0
-    or math.inf; anything else (NaN included) raises InvalidLimitParams
-    naming the field. The formulas square rho1, d and nu, so the
-    line-mean scale rho1^2 / (2d) and a finite nu's square must be finite
-    floats, and d^2 a finite normal one (it divides). Where 2*p2 < d,
-    rho1^2 * 2d and twice the line mass rho1^2 (d - p2) / (d - 2*p2)^2,
-    which bounds the complement formulas, must be finite too.
-    Series-based formulas additionally require 2*p2 < d, which is
-    enforced at the evaluation sites in `theory`.
+    Each field must be a Python or numpy real (not a bool) within the
+    float range, and is stored as a float. rho1 and p2 must be finite and
+    >= 0, d finite and > 0, and nu >= 0 or math.inf; anything else (NaN
+    included) raises InvalidLimitParams naming the field. The formulas
+    square rho1, d and nu, so the line-mean scale rho1^2 / (2d) and a
+    finite nu's square must be finite floats, and d^2 a finite normal one
+    (it divides). Where 2*p2 < d, rho1^2 * 2d and twice the line mass
+    rho1^2 (d - p2) / (d - 2*p2)^2, which bounds the complement formulas,
+    must be finite too. Series-based formulas additionally require
+    2*p2 < d, which is enforced at the evaluation sites in `theory`.
     """
 
     rho1: float
@@ -101,6 +102,17 @@ class LimitParams:
     nu: float
 
     def __post_init__(self):
+        for name in ("rho1", "p2", "d", "nu"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise InvalidLimitParams(f"{name} must be a real number, got {value!r}")
+            # the checks and formulas below see a float: a huge int would
+            # overflow their arithmetic, and a numpy float32 is no JSON number
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise InvalidLimitParams(
+                    f"{name} must be within the float range, got {value}") from None
         for name in ("rho1", "p2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -177,6 +189,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether `value` is a Python or numpy real number; a bool is not,
+    nor a string."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def from_counts(counts: dict[int, int]) -> DegreeSequence:
     """Build a validated sequence from a degree -> multiplicity map.
 
@@ -225,16 +244,21 @@ def limit_params(seq: DegreeSequence) -> LimitParams:
 
 def check_build_targets(n: int, rho1: float, p2: float, bulk_degree: int) -> None:
     """Raise InfeasibleTargets, naming the field, unless n is an integer
-    >= 1, rho1 is finite and >= 0, 0 <= p2 < 1 and bulk_degree is an
-    integer >= 3 (NaN fails)."""
+    >= 1, rho1 is a finite real >= 0, p2 a real with 0 <= p2 < 1 and
+    bulk_degree an integer in 3..2**31 - 1. An integer is a Python or
+    numpy one, a real may be either too, and a bool is neither; NaN
+    fails."""
     if not (is_integer(n) and n >= 1):
         raise InfeasibleTargets(f"n must be an integer >= 1, got {n}")
-    if not (math.isfinite(rho1) and rho1 >= 0):
-        raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {rho1}")
-    if not 0 <= p2 < 1:
-        raise InfeasibleTargets(f"p2 must be in [0, 1), got {p2}")
+    # compared, not passed to math.isfinite, which overflows on a huge int
+    if not (is_real(rho1) and 0 <= rho1 <= sys.float_info.max):
+        raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {rho1!r}")
+    if not (is_real(p2) and 0 <= p2 < 1):
+        raise InfeasibleTargets(f"p2 must be in [0, 1), got {p2!r}")
     if not (is_integer(bulk_degree) and bulk_degree >= 3):
         raise InfeasibleTargets(f"bulk_degree must be an integer >= 3, got {bulk_degree}")
+    if bulk_degree > DEGREE_MAX:  # no degree is larger (see validate)
+        raise InfeasibleTargets(f"bulk_degree must be at most 2**31 - 1, got {bulk_degree}")
 
 
 def build_sequence(
@@ -246,16 +270,18 @@ def build_sequence(
     If the total degree comes out odd, exactly one bulk vertex gets its
     degree incremented by 1; the repair is visible in the result's counts
     and perturbs every window ratio by o(1). Raises InfeasibleTargets for
-    a field out of range (see check_build_targets), when the rounded
-    counts exceed n, or when parity cannot be repaired because no bulk
-    vertex exists.
+    a field out of range (see check_build_targets), naming rho1 when the
+    rounded counts exceed n, or when parity cannot be repaired because no
+    bulk vertex exists.
     """
     check_build_targets(n, rho1, p2, bulk_degree)
-    n1 = round(rho1 * math.sqrt(n))
+    # capped, so that a huge rho1 fails the check below, not round(inf)
+    n1 = round(min(rho1 * math.sqrt(n), n + 1))
     n2 = round(p2 * n)
     if n1 + n2 > n:
         raise InfeasibleTargets(
-            f"rounded counts n1={n1}, n2={n2} exceed n={n}"
+            f"rho1 must be small enough that round(rho1 sqrt(n)) + round(p2 n) "
+            f"<= n, got {rho1} with n = {n}, p2 = {p2}"
         )
     n_bulk = n - n1 - n2
     ell = n1 + 2 * n2 + bulk_degree * n_bulk

@@ -53,11 +53,13 @@ class MalformedDegreeList(CmlabError):
 
 
 class InvalidLimitParams(CmlabError):
-    """A LimitParams field is NaN, infinite where it must be finite, or out
-    of range."""
+    """A LimitParams field is not a real number, is NaN, is infinite where
+    it must be finite, or is out of range."""
 
 
 class InvalidConfig(CmlabError, ValueError):
-    """An ExperimentConfig or Seed field is not an integer or is out of
-    range, or the config does not name exactly one of seq and targets. A
-    ValueError too, as these were before they had their own type."""
+    """An ExperimentConfig or Seed field has the wrong type (not an
+    integer, a bool, a str, a DegreeSequence or a BuildTargets, as the
+    field asks) or is out of range, or the config does not name exactly
+    one of seq and targets. A ValueError too, as these were before they
+    had their own type."""

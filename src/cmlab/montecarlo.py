@@ -4,8 +4,8 @@ Replicate i draws its graph from Seed(master_seed, i), so results are a
 pure function of the configuration. Every reported statistic is one entry
 of an ordered table (`_STATS`): its name, the integer it reads from each
 replicate's census, and its theory value. The replicates are split into
-at most `threads` contiguous ranges, run by at most os.cpu_count() pool
-workers at once; each range adds its integers into its own fixed-size
+at most min(threads, os.cpu_count()) contiguous ranges, one pool worker
+each; each range adds its integers into its own fixed-size
 accumulator, and the accumulators are merged by integer addition.
 Integer addition is exact, so the same config gives byte-identical JSON
 reports on any machine and for any thread count.
@@ -95,6 +95,10 @@ class ExperimentConfig:
     `threads` caps worker parallelism without affecting any reported
     value, so it is not part of the report's config echo. The fields are
     checked on construction: a bad one raises InvalidConfig naming it.
+    `seq` must be a DegreeSequence or None, `targets` a BuildTargets or
+    None, `source` a str or None and `condition_on_simple` a bool. The
+    integer fields may be Python or numpy integers and are stored as
+    Python ints, so the report's echo of them is JSON.
     """
 
     seq: DegreeSequence | None = None
@@ -108,8 +112,18 @@ class ExperimentConfig:
     source: str | None = None
 
     def __post_init__(self):
+        for name, kind in (("seq", DegreeSequence), ("targets", BuildTargets)):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, kind)):
+                raise InvalidConfig(
+                    f"{name} must be a {kind.__name__} or None, got {value!r}")
         if (self.seq is None) == (self.targets is None):
             raise InvalidConfig("config needs exactly one of seq or targets")
+        if not isinstance(self.condition_on_simple, bool):
+            raise InvalidConfig(
+                f"condition_on_simple must be a bool, got {self.condition_on_simple!r}")
+        if not (self.source is None or isinstance(self.source, str)):
+            raise InvalidConfig(f"source must be a str or None, got {self.source!r}")
         if not (is_integer(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise InvalidConfig(
                 f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
@@ -119,6 +133,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (is_integer(value) and value >= low):
                 raise InvalidConfig(f"{name} must be an integer >= {low}, got {value}")
+        for name in ("master_seed", "replicates", "x_max", "trunc_k", "threads"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def resolve_sequence(self) -> DegreeSequence:
         if self.seq is not None:
@@ -318,14 +334,14 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     seq = cfg.resolve_sequence()
     r = cfg.replicates
 
-    parts = min(cfg.threads, r)
+    # each range allocates its own buffers, 16 bytes a half-edge, so there
+    # are no more ranges than CPUs to run them
+    parts = min(cfg.threads, r, os.cpu_count() or 1)
     ranges = [range(r * k // parts, r * (k + 1) // parts) for k in range(parts)]
     fill = partial(_fill, seq, cfg.master_seed, cfg.x_max)
     # a lone range runs on the calling thread: in a pool thread it gets a
-    # malloc arena of its own, which raised the peak RSS of 1-thread runs.
-    # A range's buffers live while it runs, so no more run at once than
-    # there are CPUs to run them
-    with ThreadPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
+    # malloc arena of its own, which raised the peak RSS of 1-thread runs
+    with ThreadPoolExecutor(max_workers=parts) as pool:
         acc = reduce(_Accumulator.merge, (pool.map if parts > 1 else map)(fill, ranges))
 
     params = limit_params(seq)

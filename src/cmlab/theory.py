@@ -35,7 +35,7 @@ MAX_K = 10
 def _require_series(p: LimitParams) -> None:
     if p.d <= 0 or 2 * p.p2 >= p.d:
         raise SeriesDivergence(
-            f"need 2*p2 < d for the limit series, got p2={p.p2}, d={p.d}"
+            f"p2 must be below d/2 for the limit series, got p2={p.p2}, d={p.d}"
         )
 
 

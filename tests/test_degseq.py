@@ -250,12 +250,33 @@ def test_parse_degrees_names_malformed_line(text, lineno):
         ("d", {"d": 1e200}),
         ("rho1", {"rho1": 1.3e154}),
         ("rho1", {"rho1": 1e153, "p2": 1.34}),
+        # not a real number, or beyond the float range
+        ("nu", {"nu": None}),
+        ("d", {"d": [2.7]}),
+        ("rho1", {"rho1": "1"}),
+        ("p2", {"p2": True}),
+        ("rho1", {"rho1": np.array(1.0)}),
+        ("d", {"d": 10**400}),
     ],
 )
 def test_limit_params_reject_field(field, kwargs):
     args = {"rho1": 1.0, "p2": 0.3, "d": 2.7, "nu": 2.0, **kwargs}
     with pytest.raises(InvalidLimitParams, match=rf"^{field} must be"):
         degseq.LimitParams(**args)
+
+
+def test_limit_params_store_floats():
+    p = degseq.LimitParams(rho1=1, p2=np.float32(0.5), d=np.int64(3), nu=2**70)
+    assert all(type(v) is float for v in (p.rho1, p.p2, p.d, p.nu))
+    assert (p.rho1, p.p2, p.d, p.nu) == (1.0, 0.5, 3.0, float(2**70))
+
+
+def test_is_real():
+    for value in (1, 2.5, math.nan, -math.inf, 10**400, np.int8(3), np.uint64(2**64 - 1),
+                  np.float32(1.5)):
+        assert degseq.is_real(value), value
+    for value in (True, np.True_, "1", np.str_("1"), None, [1], np.array(1.0), 1j):
+        assert not degseq.is_real(value), value
 
 
 def test_limit_params_accept_boundaries():

@@ -8,10 +8,13 @@ import statistics
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmlab import census, degseq, generator, montecarlo
-from cmlab.errors import InfeasibleTargets, InvalidConfig, ZeroAcceptedSamples
+from cmlab import census, degseq, generator, montecarlo, theory
+from cmlab.errors import CmlabError, InfeasibleTargets, InvalidConfig, ZeroAcceptedSamples
 
 
 def _cfg(**kw):
@@ -84,21 +87,29 @@ def test_thread_pool_gets_one_task_per_range(monkeypatch):
 
 
 def test_thread_pool_has_at_most_cpu_count_workers(monkeypatch):
-    """threads=16 still splits the replicates into 16 ranges, but a range's
-    buffers live while it runs, so the pool runs no more of them at once
-    than there are CPUs; the report is the 1-thread one."""
+    """Each range allocates its own buffers, so threads=16 on 2 CPUs makes
+    two ranges, not 16, run by two pool workers; the report is the
+    1-thread one."""
     workers = []
+    fills = []
 
     class RecordingPool(montecarlo.ThreadPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
             workers.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
+    def recording_fill(*args):
+        fills.append(args[-1])
+        return fill(*args)
+
+    fill = montecarlo._fill
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_fill", recording_fill)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = _cfg(seq=degseq.validate([1, 1, 2, 2]), replicates=64, threads=16)
     sixteen = montecarlo.run_experiment(cfg).to_json()
     assert workers == [2]
+    assert len(fills) <= 2, fills
     assert sixteen == montecarlo.run_experiment(replace(cfg, threads=1)).to_json()
 
 
@@ -224,11 +235,16 @@ def test_config_requires_one_source():
         ("threads", {"threads": 0}),
         ("master_seed", {"master_seed": -1}),
         ("master_seed", {"master_seed": 2**64}),
+        ("condition_on_simple", {"condition_on_simple": "no"}),
+        ("condition_on_simple", {"condition_on_simple": np.True_}),
+        ("seq", {"seq": [2, 2]}),
+        ("targets", {"targets": {"n": 10}}),
+        ("source", {"source": 5}),
     ],
 )
 def test_config_rejects_bad_field(field, kwargs):
     with pytest.raises(InvalidConfig, match=rf"^{field} must be") as exc:
-        _cfg(seq=degseq.validate([2, 2]), **kwargs)
+        _cfg(**{"seq": degseq.validate([2, 2]), **kwargs})
     assert isinstance(exc.value, ValueError)
 
 
@@ -251,6 +267,11 @@ def test_config_rejects_non_integer_field(field, value):
         ("p2", {"p2": math.nan}),
         ("p2", {"p2": 1.0}),
         ("bulk_degree", {"bulk_degree": 2}),
+        ("rho1", {"rho1": "1"}),
+        ("rho1", {"rho1": True}),
+        ("p2", {"p2": "0.3"}),
+        ("p2", {"p2": None}),
+        ("bulk_degree", {"bulk_degree": 2**31}),
     ],
 )
 def test_build_targets_reject_bad_field(field, kwargs):
@@ -267,6 +288,101 @@ def test_build_targets_reject_non_integer_field(field, value):
         montecarlo.BuildTargets(**args)
     with pytest.raises(InfeasibleTargets, match=message):
         degseq.build_sequence(**args)
+
+
+def test_config_numpy_integers_echo_as_json():
+    seq = degseq.validate([1, 1, 2, 2])
+    plain = _cfg(seq=seq, replicates=3, master_seed=5, x_max=4)
+    numpy = _cfg(seq=seq, replicates=np.int64(3), master_seed=np.uint64(5),
+                 x_max=np.int32(4))
+    assert numpy == plain
+    assert (montecarlo.run_experiment(numpy).to_json()
+            == montecarlo.run_experiment(plain).to_json())
+
+
+def test_build_sequence_names_rho1_when_counts_exceed_n():
+    for rho1 in (4.2, 1e300):
+        with pytest.raises(InfeasibleTargets, match=r"^rho1 must be small enough"):
+            degseq.build_sequence(20, rho1, 0.3)
+
+
+# one value for one field of an entry point: None, bools, strings, lists,
+# NaN/+-inf, huge ints, numpy scalars and arrays, and 0, -1 and 2.5
+_FLOATS = st.sampled_from([0.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
+_HUGE = st.one_of(st.integers(2**53, 2**1100), st.integers(-(2**1100), -(2**53)))
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    _FLOATS,
+    st.sampled_from([0, -1]),
+    _HUGE,
+    _FLOATS.map(np.float64),
+    _FLOATS.map(np.float32),
+    st.sampled_from([0, -1]).map(np.int64),
+    st.integers(2**53, 2**63 - 1).map(np.int64),
+    st.integers(2**63, 2**64 - 1).map(np.uint64),
+    st.sampled_from([np.True_, np.str_("1")]),
+    st.sampled_from([np.array(2.5), np.array([1, 1]), np.zeros(0), np.array(["a"])]),
+)
+
+
+def _limit_params(**field):
+    p = degseq.LimitParams(**{"rho1": 1.0, "p2": 0.3, "d": 2.7, "nu": 2.0, **field})
+    return [theory.predict(p).to_json_dict()]
+
+
+def _build_targets(**field):
+    t = montecarlo.BuildTargets(**{"n": 20, "rho1": 1.0, "p2": 0.3, "bulk_degree": 3, **field})
+    out = [theory.predict(t.limit_params()).to_json_dict()]
+    if t.n <= 50 and t.bulk_degree <= 50:  # only a tiny graph is run
+        cfg = montecarlo.ExperimentConfig(targets=t, replicates=3)
+        out.append(montecarlo.run_experiment(cfg).to_json_dict())
+    return out
+
+
+def _experiment_config(**field):
+    # each of seq and targets is tried where the other one is set
+    source = {"targets": montecarlo.BuildTargets(n=20, rho1=1.0, p2=0.3)} if "seq" in field \
+        else {"seq": degseq.validate([1, 1])}
+    cfg = montecarlo.ExperimentConfig(**{**source, "replicates": 3, **field})
+    if cfg.replicates > 3 or cfg.x_max > theory.X_MAX or cfg.trunc_k > theory.TRUNC_K:
+        return []  # valid, but not a tiny run
+    return [montecarlo.run_experiment(cfg).to_json_dict()]
+
+
+def _seed(**field):
+    seq = degseq.validate([1, 1, 2, 3, 3])
+    g = generator.sample(seq, generator.Seed(**{"master": 1, "stream": 0, **field}))
+    return [census.component_census(g, seq).to_json_dict()]
+
+
+_ENTRY_FIELDS = [
+    *((_limit_params, f) for f in ("rho1", "p2", "d", "nu")),
+    *((_build_targets, f) for f in ("n", "rho1", "p2", "bulk_degree")),
+    *((_experiment_config, f) for f in ("seq", "targets", "replicates", "master_seed",
+                                        "condition_on_simple", "x_max", "trunc_k",
+                                        "threads", "source")),
+    *((_seed, f) for f in ("master", "stream")),
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(entry=st.sampled_from(_ENTRY_FIELDS), value=_ANY_VALUE)
+def test_entry_point_gives_strict_json_or_names_the_field(entry, value):
+    """LimitParams, BuildTargets, ExperimentConfig and Seed, with one field
+    set to `value` and the rest valid, either construct and give strict
+    JSON from predict or a tiny run, or raise a CmlabError whose message
+    starts with the field's name."""
+    make, field = entry
+    try:
+        outputs = make(**{field: value})
+    except CmlabError as exc:
+        assert str(exc).startswith(f"{field} "), (field, value, str(exc))
+        return
+    for out in outputs:
+        json.dumps(out, allow_nan=False)
 
 
 def test_sweep_infeasible_n_row_surfaced():
