@@ -242,23 +242,44 @@ def limit_params(seq: DegreeSequence) -> LimitParams:
     )
 
 
-def check_build_targets(n: int, rho1: float, p2: float, bulk_degree: int) -> None:
-    """Raise InfeasibleTargets, naming the field, unless n is an integer
-    >= 1, rho1 is a finite real >= 0, p2 a real with 0 <= p2 < 1 and
-    bulk_degree an integer in 3..2**31 - 1. An integer is a Python or
-    numpy one, a real may be either too, and a bool is neither; NaN
-    fails."""
+def check_build_targets(n: int, rho1: float, p2: float,
+                        bulk_degree: int) -> tuple[int, float, float, int]:
+    """The four build targets as Python int, float, float and int.
+
+    Raises InfeasibleTargets, naming the field, unless n is an integer in
+    1..sys.float_info.max (sqrt(n) and p2 * n are floats), rho1 is a
+    finite real >= 0, p2 a real with 0 <= p2 < 1 and bulk_degree an
+    integer in 3..2**31 - 1. An integer is a Python or numpy one, a real
+    may be either too, and a bool is neither; NaN fails.
+    """
     if not (is_integer(n) and n >= 1):
         raise InfeasibleTargets(f"n must be an integer >= 1, got {n}")
-    # compared, not passed to math.isfinite, which overflows on a huge int
-    if not (is_real(rho1) and 0 <= rho1 <= sys.float_info.max):
+    if n > sys.float_info.max:  # not printed: str() refuses over 4300 digits
+        raise InfeasibleTargets(f"n must be within the float range, got about "
+                                f"1e{math.floor(math.log10(n))}")
+    real_rho1, real_p2 = _as_float(rho1), _as_float(p2)
+    if not 0 <= real_rho1 < math.inf:
         raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {rho1!r}")
-    if not (is_real(p2) and 0 <= p2 < 1):
+    if not 0 <= real_p2 < 1:
         raise InfeasibleTargets(f"p2 must be in [0, 1), got {p2!r}")
     if not (is_integer(bulk_degree) and bulk_degree >= 3):
         raise InfeasibleTargets(f"bulk_degree must be an integer >= 3, got {bulk_degree}")
     if bulk_degree > DEGREE_MAX:  # no degree is larger (see validate)
         raise InfeasibleTargets(f"bulk_degree must be at most 2**31 - 1, got {bulk_degree}")
+    return int(n), real_rho1, real_p2, int(bulk_degree)
+
+
+def _as_float(value) -> float:
+    """A real `value` as a Python float, inf for an int beyond the float
+    range, and NaN for anything else. Bounds are checked on the result: a
+    numpy float32 compared with the float range would cast that range to
+    float32, where it overflows."""
+    if not is_real(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def build_sequence(
@@ -270,18 +291,21 @@ def build_sequence(
     If the total degree comes out odd, exactly one bulk vertex gets its
     degree incremented by 1; the repair is visible in the result's counts
     and perturbs every window ratio by o(1). Raises InfeasibleTargets for
-    a field out of range (see check_build_targets), naming rho1 when the
-    rounded counts exceed n, or when parity cannot be repaired because no
-    bulk vertex exists.
+    a field out of range (see check_build_targets); when the rounded
+    counts exceed n, naming rho1 or p2, whichever gives the larger count;
+    and naming n when parity cannot be repaired because no bulk vertex
+    exists, which a large enough n always leaves.
     """
-    check_build_targets(n, rho1, p2, bulk_degree)
+    n, rho1, p2, bulk_degree = check_build_targets(n, rho1, p2, bulk_degree)
     # capped, so that a huge rho1 fails the check below, not round(inf)
     n1 = round(min(rho1 * math.sqrt(n), n + 1))
     n2 = round(p2 * n)
     if n1 + n2 > n:
+        field, value, others = (("rho1", rho1, f"p2 = {p2}") if n1 >= n2
+                                else ("p2", p2, f"rho1 = {rho1}"))
         raise InfeasibleTargets(
-            f"rho1 must be small enough that round(rho1 sqrt(n)) + round(p2 n) "
-            f"<= n, got {rho1} with n = {n}, p2 = {p2}"
+            f"{field} must be small enough that round(rho1 sqrt(n)) + round(p2 n) "
+            f"<= n, got {value} with n = {n}, {others}"
         )
     n_bulk = n - n1 - n2
     ell = n1 + 2 * n2 + bulk_degree * n_bulk
@@ -295,7 +319,8 @@ def build_sequence(
     if ell % 2 != 0:
         if n_bulk == 0:
             raise InfeasibleTargets(
-                "total degree is odd and there is no bulk vertex to repair parity"
+                f"n must be large enough to leave a bulk vertex to repair the odd "
+                f"total degree {ell}, got {n} with rho1 = {rho1}, p2 = {p2}"
             )
         counts[bulk_degree] -= 1
         if counts[bulk_degree] == 0:

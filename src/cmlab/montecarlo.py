@@ -48,6 +48,7 @@ from .theory import (
     MAX_K,
     TRUNC_K,
     X_MAX,
+    X_MAX_LIMIT,
     Prediction,
     expected_complement,
     lambda_cycle,
@@ -65,7 +66,8 @@ class BuildTargets:
     """build_sequence arguments carried by a config (file-less source).
 
     Each field is checked on construction, as build_sequence checks it;
-    a bad one raises InfeasibleTargets naming it.
+    a bad one raises InfeasibleTargets naming it. The fields are stored
+    as Python numbers, so a report or a limit sees no numpy scalar.
     """
 
     n: int
@@ -74,7 +76,10 @@ class BuildTargets:
     bulk_degree: int = 3
 
     def __post_init__(self):
-        check_build_targets(self.n, self.rho1, self.p2, self.bulk_degree)
+        fields = ("n", "rho1", "p2", "bulk_degree")
+        checked = check_build_targets(*(getattr(self, name) for name in fields))
+        for name, value in zip(fields, checked):
+            object.__setattr__(self, name, value)
 
     def limit_params(self) -> LimitParams:
         """The n -> infinity window parameters of the built family.
@@ -98,7 +103,8 @@ class ExperimentConfig:
     `seq` must be a DegreeSequence or None, `targets` a BuildTargets or
     None, `source` a str or None and `condition_on_simple` a bool. The
     integer fields may be Python or numpy integers and are stored as
-    Python ints, so the report's echo of them is JSON.
+    Python ints, so the report's echo of them is JSON; x_max is at most
+    theory.X_MAX_LIMIT.
     """
 
     seq: DegreeSequence | None = None
@@ -133,6 +139,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (is_integer(value) and value >= low):
                 raise InvalidConfig(f"{name} must be an integer >= {low}, got {value}")
+        if self.x_max > X_MAX_LIMIT:  # the histogram holds x_max + 2 counts
+            raise InvalidConfig(f"x_max must be at most {X_MAX_LIMIT}, got {self.x_max}")
         for name in ("master_seed", "replicates", "x_max", "trunc_k", "threads"):
             object.__setattr__(self, name, int(getattr(self, name)))
 

@@ -18,25 +18,24 @@ built.
   S and M. A census depends on S and M only through its "S" and "M"
   entries, so the census classifier runs once per distinct structure.
 
-A table keys each count by one integer, S * stride + M, with one stride
-per call, C(ell/2, 2) + 1: M sums C(m, 2) over the multiplicities m of
-the vertex pairs, and as the m sum to at most ell/2, M is at most
-C(ell/2, 2), all edges on one pair. So combining two disjoint parts adds
-their keys with no carry from M into S, and exact_law splits each key
-with divmod once. The root pieces of each vertex order are listed once
-per call, too.
+A table keys each count by one integer, S * stride + M, with stride
+C(ell/2, 2) + 1: M sums C(m, 2) over the multiplicities m of the vertex
+pairs, and as the m sum to at most ell/2, M is at most C(ell/2, 2), all
+edges on one pair. So combining two disjoint parts adds their keys with
+no carry from M into S, and exact_law splits each key with divmod once.
+Each recursion takes its degree tuple and one _Tables object, which
+holds the stride and every memo of one exact_law call and no longer.
 
 The order of the vertices matters only through the giant's tie-break,
 the lowest vertex among the largest components. Arbitrary-precision
-integers keep the results exact, and every table lives for one call.
-The default cap ell <= 16 bounds the run time, which grows with the
-number of vertex sets a state can split into. Alternating short runs of
-equal degrees cost the most: 1,2,1,2,... at ell = 16 takes about 0.03 s
-on a 2-core machine, while {1:16}, 2,027,025 matchings that are each a
-multigraph of their own, takes milliseconds. The cap bounds half-edges,
-not memory: the tables grow with the number of distinct outcomes, and
-with a raised cap {1:4,2:8,3:8} (ell 44, 223,449 outcomes) takes about
-5.5 s and 290 MiB.
+integers keep the results exact. The default cap ell <= 16 bounds the
+run time, which grows with the number of vertex sets a state can split
+into. Alternating short runs of equal degrees cost the most: 1,2,1,2,...
+at ell = 16 takes about 0.03 s on a 2-core machine, while {1:16},
+2,027,025 matchings that are each a multigraph of their own, takes
+milliseconds. The cap bounds half-edges, not memory: the tables grow
+with the number of distinct outcomes, and with a raised cap
+{1:4,2:8,3:8} (ell 44, 223,449 outcomes) takes about 5.5 s and 290 MiB.
 """
 
 from __future__ import annotations
@@ -94,8 +93,7 @@ def enumerate_matchings(
     return rec(tuple(range(seq.ell)))
 
 
-#: {self-loops * stride + parallel-edge pairs: number of matchings}, with
-#: one stride per exact_law call that exceeds every parallel-edge count
+#: {self-loops * stride + parallel-edge pairs: number of matchings}
 Table = dict[int, int]
 
 #: the root pieces of a vertex order (see _root_pieces)
@@ -110,14 +108,21 @@ Signature = tuple[int, int, int]
 Structure = tuple[Signature, tuple[Signature, ...]]
 
 
-def _stride(ell: int) -> int:
-    """One more than the most parallel-edge pairs of a matching of ell
-    half-edges: the (S, M) key stride of one exact_law call."""
-    return math.comb(ell // 2, 2) + 1
+class _Tables:
+    """The key stride of one exact_law call and each recursion's memo,
+    keyed by a degree tuple."""
+
+    __slots__ = ("stride", "matchings", "pieces", "connected", "summaries")
+
+    def __init__(self, ell: int) -> None:
+        self.stride = math.comb(ell // 2, 2) + 1
+        self.matchings: dict[tuple[int, ...], Table] = {}
+        self.pieces: dict[tuple[int, ...], Pieces] = {}
+        self.connected: dict[tuple[int, ...], Table] = {}
+        self.summaries: dict[tuple[int, ...], dict[Structure, Table]] = {}
 
 
-def _matchings(free: tuple[int, ...], memo: dict[tuple[int, ...], Table],
-               stride: int) -> Table:
+def _matchings(free: tuple[int, ...], tables: _Tables) -> Table:
     """The perfect matchings of vertices with `free` half-edges each (a
     sorted tuple of positive counts), counted by (S, M).
 
@@ -126,13 +131,13 @@ def _matchings(free: tuple[int, ...], memo: dict[tuple[int, ...], Table],
     matchings do. That adds j to S and sum_v C(r_v, 2) to M (loops at one
     vertex are not parallel edges, as in the census), and the counts left
     go on, sorted. The first count is the smallest, so no r_v can exceed
-    free_v. `memo` holds the tables of one exact_law call.
+    free_v.
     """
-    table = memo.get(free)
+    table = tables.matchings.get(free)
     if table is not None:
         return table
     if not free:
-        memo[free] = table = {0: 1}
+        tables.matchings[free] = table = {0: 1}
         return table
     f, others = free[0], free[1:]
     # (counts left, key of f's edges) -> matchings of f's half-edges
@@ -149,17 +154,18 @@ def _matchings(free: tuple[int, ...], memo: dict[tuple[int, ...], Table],
                        left + [g - r] if g > r else left)
 
     for j in range(f // 2 + 1):
-        spread(0, f - 2 * j, math.factorial(f) // (math.factorial(j) << j), j * stride, [])
+        spread(0, f - 2 * j, math.factorial(f) // (math.factorial(j) << j),
+               j * tables.stride, [])
     table = {}
     for (rest, shift), ways in spreads.items():
-        for key, count in _matchings(rest, memo, stride).items():
+        for key, count in _matchings(rest, tables).items():
             key += shift
             table[key] = table.get(key, 0) + ways * count
-    memo[free] = table
+    tables.matchings[free] = table
     return table
 
 
-def _root_pieces(order: tuple[int, ...], memo: dict[tuple[int, ...], Pieces]) -> Pieces:
+def _root_pieces(order: tuple[int, ...], tables: _Tables) -> Pieces:
     """Every set of the vertices with degrees `order` that holds the first
     and has an even degree sum, as (how many such sets, their sorted
     degrees, the degrees left in order).
@@ -167,10 +173,9 @@ def _root_pieces(order: tuple[int, ...], memo: dict[tuple[int, ...], Pieces]) ->
     Within a run of equal consecutive degrees any c vertices leave the
     same degrees, so each c stands for C(run, c) sets, C(run - 1, c - 1)
     in the first vertex's run. The sets are built run by run. A set of
-    odd degree sum has no matching, so it is left out. `memo` holds the
-    pieces of one exact_law call.
+    odd degree sum has no matching, so it is left out.
     """
-    pieces = memo.get(order)
+    pieces = tables.pieces.get(order)
     if pieces is not None:
         return pieces
     runs: list[list[int]] = []
@@ -186,14 +191,12 @@ def _root_pieces(order: tuple[int, ...], memo: dict[tuple[int, ...], Pieces]) ->
                    rest + (d,) * (size - c))
                   for ways, piece, rest in pieces for c in range(first, size + 1)]
         first = 0
-    memo[order] = pieces = [(ways, tuple(sorted(piece)), rest)
-                            for ways, piece, rest in pieces if sum(piece) % 2 == 0]
+    tables.pieces[order] = pieces = [(ways, tuple(sorted(piece)), rest)
+                                     for ways, piece, rest in pieces if sum(piece) % 2 == 0]
     return pieces
 
 
-def _connected(degrees: tuple[int, ...], memo: dict[tuple[int, ...], Table],
-               matchings: dict[tuple[int, ...], Table],
-               pieces: dict[tuple[int, ...], Pieces], stride: int) -> Table:
+def _connected(degrees: tuple[int, ...], tables: _Tables) -> Table:
     """The connected matchings of vertices with the sorted `degrees`,
     counted by (S, M).
 
@@ -203,33 +206,29 @@ def _connected(degrees: tuple[int, ...], memo: dict[tuple[int, ...], Table],
         All(D) = sum_T (sets T) * Conn(T) (*) All(D - T),
 
     where (*) adds S and M, that is, adds the keys. Conn(D) is the term
-    T = D: All(D) less the others. `memo`, `matchings` and `pieces` hold
-    the tables of one exact_law call.
+    T = D: All(D) less the others.
     """
-    table = memo.get(degrees)
+    table = tables.connected.get(degrees)
     if table is not None:
         return table
-    table = dict(_matchings(degrees, matchings, stride))
-    for ways, piece, rest in _root_pieces(degrees, pieces):
+    table = dict(_matchings(degrees, tables))
+    for ways, piece, rest in _root_pieces(degrees, tables):
         if not rest:  # T = D
             continue
-        conn = _connected(piece, memo, matchings, pieces, stride)
+        conn = _connected(piece, tables)
         if not conn:
             continue
-        alls = _matchings(rest, matchings, stride)
+        alls = _matchings(rest, tables)
         for k1, a in conn.items():
             a *= ways
             for k2, b in alls.items():
                 table[k1 + k2] -= a * b
     table = {key: count for key, count in table.items() if count}
-    memo[degrees] = table
+    tables.connected[degrees] = table
     return table
 
 
-def _summaries(order: tuple[int, ...], memo: dict[tuple[int, ...], dict[Structure, Table]],
-               connected: dict[tuple[int, ...], Table],
-               matchings: dict[tuple[int, ...], Table],
-               pieces: dict[tuple[int, ...], Pieces], stride: int) -> dict[Structure, Table]:
+def _summaries(order: tuple[int, ...], tables: _Tables) -> dict[Structure, Table]:
     """The matchings of the vertices with degrees `order`, in vertex
     order, counted by (S, M) per component structure.
 
@@ -238,16 +237,14 @@ def _summaries(order: tuple[int, ...], memo: dict[tuple[int, ...], dict[Structur
     structures come from the degrees left, in their order. A component
     placed in front of an as large giant becomes the giant, as the first
     maximum in _classify does. Each structure of the rest is placed once,
-    and its (S, M) table is multiplied by the component's. `memo`,
-    `connected`, `matchings` and `pieces` hold the tables of one
-    exact_law call.
+    and its (S, M) table is multiplied by the component's.
     """
-    out = memo.get(order)
+    out = tables.summaries.get(order)
     if out is not None:
         return out
     out = {}
-    for ways, piece, rest in _root_pieces(order, pieces):
-        conn = _connected(piece, connected, matchings, pieces, stride)
+    for ways, piece, rest in _root_pieces(order, tables):
+        conn = _connected(piece, tables)
         if not conn:
             continue
         sig = (len(piece), piece.count(1), piece.count(2))
@@ -255,8 +252,7 @@ def _summaries(order: tuple[int, ...], memo: dict[tuple[int, ...], dict[Structur
             out[sig, ()] = conn
             continue
         scaled = [(k2, ways * a) for k2, a in conn.items()]
-        for (giant, others), later in _summaries(rest, memo, connected, matchings, pieces,
-                                                 stride).items():
+        for (giant, others), later in _summaries(rest, tables).items():
             # place this component in front of the rest's
             if sig[0] >= giant[0]:
                 structure = (sig, tuple(sorted(others + (giant,))))
@@ -267,7 +263,7 @@ def _summaries(order: tuple[int, ...], memo: dict[tuple[int, ...], dict[Structur
                 for k2, a in scaled:
                     key = k1 + k2
                     table[key] = table.get(key, 0) + a * b
-    memo[order] = out
+    tables.summaries[order] = out
     return out
 
 
@@ -342,9 +338,9 @@ def exact_law(seq: DegreeSequence, cap: int = HALF_EDGE_CAP) -> ExactLaw:
     machine.
     """
     _check_cap(seq, cap)
-    stride = _stride(seq.ell)
-    structures = _summaries(tuple(seq.degrees.tolist()), memo={}, connected={}, matchings={},
-                            pieces={}, stride=stride)
+    tables = _Tables(seq.ell)
+    stride = tables.stride
+    structures = _summaries(tuple(seq.degrees.tolist()), tables)
     outcome_counts: dict[CensusKey, int] = {}
     sums: dict[str, int] = {}
     loops_sum = multi_sum = connected = simple = 0

@@ -28,6 +28,11 @@ _PMF_COMPONENT_TAIL = 1e-12
 #: the k-scaled components for k <= TRUNC_K; C_k and L_k are listed, and
 #: a report gives each its own row, for k <= MAX_K
 X_MAX = 50
+#: the largest x_max of a report: the pmf and a simulation's histogram
+#: hold x_max + 1 entries, and near 2*p2/d = 1 with a raised trunc_k the
+#: pmf costs about x_max^2 operations; a theory report at this bound takes
+#: about 2 s on a 2-core machine at rho1 = 1, p2 = 0.49, d = 1, trunc_k = 1000
+X_MAX_LIMIT = 10**4
 TRUNC_K = 60
 MAX_K = 10
 
@@ -133,10 +138,14 @@ def _complement_series(p: LimitParams) -> tuple[float, float]:
 def paper_closed_form_complement(p: LimitParams) -> float:
     """Alternative complement-expectation closed form reported alongside.
 
-    rho1^2 (2d-p2)/(2(d-p2)^2) + p2/(d-2p2). Disagrees with the series
-    over the component Poisson means whenever rho1 > 0 and p2 > 0; the
-    series value is the one corroborated by exact enumeration and Monte
-    Carlo, so reports carry both numbers side by side.
+    rho1^2 (2d-p2)/(2(d-p2)^2) + p2/(d-2p2). Its second term is the cycle
+    series, sum_k k lambda_cycle(k) = p2/(d-2p2); its first is the line
+    series, sum_{k>=2} k rho1^2/(2d) r^(k-2), taken at the ratio r = p2/d
+    instead of lambda_line's 2p2/d, as if each degree-2 vertex offered a
+    line one half-edge, not two. So it disagrees with expected_complement
+    whenever rho1 > 0 and p2 > 0; the series value is the one
+    corroborated by exact enumeration and Monte Carlo, so reports carry
+    both numbers side by side.
     """
     _require_series(p)
     return p.rho1**2 * (2 * p.d - p.p2) / (2 * (p.d - p.p2) ** 2) + p.p2 / (
@@ -154,8 +163,8 @@ def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
     where both are such: a huge trunc_k costs no more than a small one.
     """
     _require_series(p)
-    if x_max < 0:
-        raise ValueError("x_max must be >= 0")
+    if not 0 <= x_max <= X_MAX_LIMIT:
+        raise ValueError(f"x_max must be >= 0 and at most {X_MAX_LIMIT}, got {x_max}")
     if trunc_k < 1:
         raise ValueError(f"trunc_k must be >= 1, got {trunc_k}")
     dist = np.zeros(x_max + 1)

@@ -460,10 +460,10 @@ def test_exploration_matches_exact_root_component_law():
     (r - 1)!!, with r the half-edges outside T, summed over the sets T."""
     s = degseq.from_counts({1: 2, 2: 3, 3: 2})
     weights = Counter()
-    stride = oracle._stride(s.ell)
-    for ways, piece, rest in oracle._root_pieces(tuple(s.degrees.tolist()), {}):
+    tables = oracle._Tables(s.ell)
+    for ways, piece, rest in oracle._root_pieces(tuple(s.degrees.tolist()), tables):
         if sum(piece) % 2 == 0:
-            connected = sum(oracle._connected(piece, {}, {}, {}, stride).values())
+            connected = sum(oracle._connected(piece, tables).values())
             weights[len(piece)] += ways * connected * oracle.double_factorial_odd(sum(rest))
     assert sum(weights.values()) == oracle.double_factorial_odd(s.ell)
 

@@ -403,6 +403,7 @@ def test_cli_output_bytes_pinned(args, capsys):
         (["--n", "100", "--rho1", "nan", "--p2", "0.3"], "rho1"),
         (["--n", "100", "--rho1", "1", "--p2", "nan"], "p2"),
         (["--n", "0", "--rho1", "1", "--p2", "0.3"], "n"),
+        (["--counts", "2:4", "--x-max", "10001"], "x_max"),
     ],
 )
 def test_simulate_rejects_bad_config_field(capsys, flags, field):

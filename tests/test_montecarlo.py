@@ -240,6 +240,8 @@ def test_config_requires_one_source():
         ("seq", {"seq": [2, 2]}),
         ("targets", {"targets": {"n": 10}}),
         ("source", {"source": 5}),
+        ("x_max", {"x_max": 10**4 + 1}),
+        ("x_max", {"x_max": 10**30}),
     ],
 )
 def test_config_rejects_bad_field(field, kwargs):
@@ -272,6 +274,9 @@ def test_config_rejects_non_integer_field(field, value):
         ("p2", {"p2": "0.3"}),
         ("p2", {"p2": None}),
         ("bulk_degree", {"bulk_degree": 2**31}),
+        ("n", {"n": 10**400}),
+        ("n", {"n": 10**5000}),
+        ("rho1", {"rho1": np.float32("inf")}),
     ],
 )
 def test_build_targets_reject_bad_field(field, kwargs):
@@ -306,8 +311,32 @@ def test_build_sequence_names_rho1_when_counts_exceed_n():
             degseq.build_sequence(20, rho1, 0.3)
 
 
+@pytest.mark.parametrize("field,n,rho1,p2", [
+    ("n", 1, 1.0, 0.3),  # one degree-1 vertex: an odd total, no bulk vertex
+    ("n", 2, 1.0, 0.3),  # degrees 1 and 2
+    ("p2", 100, 1.0, 0.995),  # round(99.5) = 100 degree-2 vertices and 10 of degree 1
+])
+def test_build_sequence_names_the_target_it_cannot_meet(field, n, rho1, p2):
+    """BuildTargets takes these, as a sweep template may; the run names
+    the field."""
+    cfg = _cfg(targets=montecarlo.BuildTargets(n=n, rho1=rho1, p2=p2), replicates=1)
+    with pytest.raises(InfeasibleTargets, match=rf"^{field} must be"):
+        montecarlo.run_experiment(cfg)
+
+
+def test_build_targets_hold_python_numbers():
+    t = montecarlo.BuildTargets(n=np.int64(40), rho1=np.float32(1.5), p2=np.float64(0.3),
+                                bulk_degree=np.int32(4))
+    assert [type(v) for v in (t.n, t.rho1, t.p2, t.bulk_degree)] == [int, float, float, int]
+    assert t == montecarlo.BuildTargets(n=40, rho1=1.5, p2=0.3, bulk_degree=4)
+
+
 # one value for one field of an entry point: None, bools, strings, lists,
-# NaN/+-inf, huge ints, numpy scalars and arrays, and 0, -1 and 2.5
+# NaN/+-inf, huge ints, numpy scalars and arrays, 0, -1 and 2.5, and small
+# ints and reals in (0, 1), where a tiny n or a p2 near 1 leaves build
+# targets that construct but cannot be built. The reals start at 0.7: a d
+# at or below 2 * p2 = 0.6 breaks a bound on both, which predict's
+# SeriesDivergence names by p2, as it must for p2 = 2.5 at d = 2.7
 _FLOATS = st.sampled_from([0.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
 _HUGE = st.one_of(st.integers(2**53, 2**1100), st.integers(-(2**1100), -(2**53)))
 _ANY_VALUE = st.one_of(
@@ -317,6 +346,8 @@ _ANY_VALUE = st.one_of(
     st.lists(st.integers(-1, 3), max_size=3),
     _FLOATS,
     st.sampled_from([0, -1]),
+    st.integers(1, 4),
+    st.floats(0.7, 0.999),
     _HUGE,
     _FLOATS.map(np.float64),
     _FLOATS.map(np.float32),

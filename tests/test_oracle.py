@@ -272,9 +272,9 @@ def test_exact_law_keeps_no_tables_between_calls(monkeypatch):
     calls = []
     matchings = oracle._matchings
 
-    def counting_matchings(free, memo, stride):
+    def counting_matchings(free, tables):
         calls.append(free)
-        return matchings(free, memo, stride)
+        return matchings(free, tables)
 
     monkeypatch.setattr(oracle, "_matchings", counting_matchings)
     seq = degseq.from_counts({1: 2, 2: 3, 3: 2})
@@ -333,7 +333,7 @@ def test_two_vertex_loops_and_parallel_pairs_law(k, cap):
             total)
         for r in range(k % 2, k + 1, 2)
     }
-    assert max(m for _, m in got) == oracle._stride(2 * k) - 1
+    assert max(m for _, m in got) == oracle._Tables(2 * k).stride - 1
 
 
 @pytest.mark.parametrize("k", range(2, 13))

@@ -200,8 +200,8 @@ def test_complement_pmf_stops_early_with_the_same_bits(p):
         assert np.array_equal(theory.complement_pmf(p, x_max, 10**12), dist)
 
 
-@pytest.mark.parametrize("x_max,trunc_k,field", [(-1, 60, "x_max"), (50, 0, "trunc_k"),
-                                                 (50, -5, "trunc_k")])
+@pytest.mark.parametrize("x_max,trunc_k,field", [(-1, 60, "x_max"), (10**30, 60, "x_max"),
+                                                 (50, 0, "trunc_k"), (50, -5, "trunc_k")])
 def test_complement_pmf_rejects_bad_range(x_max, trunc_k, field):
     with pytest.raises(ValueError, match=rf"^{field} must be >= "):
         theory.complement_pmf(P, x_max=x_max, trunc_k=trunc_k)
