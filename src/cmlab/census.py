@@ -11,11 +11,9 @@ The census reads the graph's half-edge pairing directly; no edge list is
 built. Components are labelled one of two ways, and one classifier turns
 the labels' rows (lowest vertex, size, #degree 1, #degree 2 per
 component) into the census. A plain-Python union-find over the vertex
-pairs labels a graph of up to _UNION_FIND_MAX_N = 128 vertices; it also
-counts self-loops and, in a dict keyed on the vertex pair, parallel
-edges. At that size a numpy or scipy call costs more than the work it
-does. The exact oracle builds no graph: it hands _classify rows of its
-own.
+pairs labels a graph of up to _UNION_FIND_MAX_N = 128 vertices: at that
+size a scipy search costs more than the labelling does. The exact oracle
+builds no graph: it hands _classify rows of its own.
 
 A larger graph gets an adjacency matrix straight from the pairing: its
 row pointer is the sequence's half-edge offsets, and the column of
@@ -31,11 +29,13 @@ the import costs more than the whole exact oracle, which never needs it.
 Outside the window a search can miss most of the graph, and the Python
 loop would take about 2 us a vertex. The searched component's counts are
 the sequence totals minus theirs.
-Self-loops and parallel edges of the whole graph are counted by one sort
-of the vertex-pair keys, held in the spent columns; no edge joins the two
-sides, so the leftover's are among them. The path's two ell-sized arrays
-can be made once (CensusBuffers) for every graph of a sequence, so their
-pages are not faulted in again for each graph.
+
+The labellers count no edges. Self-loops and parallel edges are counted
+one way for every graph: by one sort of the vertex-pair keys, held in
+the columns once the labels are known. The two ell-sized arrays, the
+pair owners and the columns, can be made once (CensusBuffers) for every
+graph of a sequence, so their pages are not faulted in again for each
+graph.
 
 Either way the giant is chosen among all components by size and lowest
 vertex id, which is exact whichever component the search happened to
@@ -62,10 +62,12 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 # Up to this vertex count the plain-Python union-find labels a graph, or
-# what a search missed, faster than numpy and scipy do. On sampled window
-# graphs (rho1 = 1, p2 = 0.3, bulk 3) it and the search cross between
-# n = 128 and 192; on leftovers of degree-1 and degree-2 vertices it and
-# scipy cross near 512 vertices (BENCH_micro_census.json).
+# what a search missed, faster than a search or scipy does. It only
+# labels: the one key sort counts loops and parallel edges on both sides.
+# On sampled window graphs (rho1 = 1, p2 = 0.3, bulk 3) it and the search
+# cross between n = 160 and 192 (BENCH_census_one_counter.json); on
+# leftovers of degree-1 and degree-2 vertices it and scipy cross near 512
+# vertices (BENCH_micro_census.json).
 _UNION_FIND_MAX_N = 128
 
 # (lowest vertex, size, #degree 1, #degree 2, count): `count` components
@@ -140,36 +142,52 @@ def component_census(g: Multigraph, degrees: DegreeSequence,
     largest. A graph sampled from `degrees` is trusted; any other graph
     has its realized degrees checked first and raises DegreeMismatch if
     they disagree with the sequence. `buffers`, made for `degrees`, hold
-    the working arrays of a graph above _UNION_FIND_MAX_N vertices;
-    without them the census allocates its own.
+    the census's working arrays; without them it allocates its own.
     """
     if g.owners is not degrees.half_edge_owners:
         _check_degrees(g, degrees)
-    if degrees.n <= _UNION_FIND_MAX_N:
-        ends = degrees.half_edge_owners[g.pairing]
-        return _classify(degrees, *_components(degrees.degrees, ends))
-    return _census_search(degrees, g.pairing, buffers)
+    if buffers is None:
+        buffers = CensusBuffers(degrees)
+    n = degrees.n
+    # every id in a pairing is below ell, so "clip" never clips; mode
+    # "raise" would fill a temporary copy of `out` first
+    ends = np.take(degrees.half_edge_owners, g.pairing, out=buffers.ends, mode="clip")
+    if n <= _UNION_FIND_MAX_N:
+        rows = _components(degrees.degrees, ends)
+    else:
+        rows = _search_rows(degrees, g.pairing, ends, buffers.cols)
+
+    # self-loops and parallel edges, by one sort of the vertex-pair keys
+    # min * n + max = min * (n - 1) + a + b, in the bytes of the columns:
+    # they are spent once the labels are known
+    a, b = ends[:, 0], ends[:, 1]
+    self_loops = int(np.count_nonzero(a == b))
+    key = np.minimum(a, b, out=buffers.cols.view(np.int64))
+    key *= n - 1
+    key += a
+    key += b
+    key.sort()
+    repeats = key[1:][key[1:] == key[:-1]]
+    # a self-loop at v has the key v*(n+1), which no other edge has; loops
+    # at one vertex are not parallel edges
+    repeats = repeats[repeats % (n + 1) != 0]
+    # a pair joined by m parallel edges repeats m-1 times, the i-th repeat
+    # (from 1) adding i: C(m, 2) pairs. A run starts at its searchsorted
+    multi_edges = int((np.arange(1, len(repeats) + 1)
+                       - np.searchsorted(repeats, repeats)).sum())
+
+    rows.sort()  # _classify breaks size ties by row order
+    return _classify(degrees, self_loops, multi_edges, rows)
 
 
-def _components(deg: np.ndarray, ends: np.ndarray) -> tuple[int, int, list[Row]]:
-    """Self-loops, parallel-edge pairs and one row per component (count
-    1), in ascending order, of the graph on vertices 0..len(deg)-1 whose
-    edges are the vertex pairs `ends`."""
+def _components(deg: np.ndarray, ends: np.ndarray) -> list[Row]:
+    """One row per component (count 1), in ascending order, of the graph
+    on vertices 0..len(deg)-1 whose edges are the vertex pairs `ends`."""
     n = len(deg)
     deg = deg.tolist()
     # a root is always the lowest vertex of its tree, and parent[v] <= v
     parent = list(range(n))
-    self_loops = multi_edges = 0
-    edges_seen: dict[int, int] = {}
     for u, v in ends.tolist():
-        if u == v:
-            self_loops += 1
-            continue
-        key = u * n + v if u < v else v * n + u
-        m = edges_seen.get(key, 0)
-        # the (m+1)-th u-v edge pairs with the m before it: C(m, 2) in all
-        multi_edges += m
-        edges_seen[key] = m + 1
         while parent[u] != u:  # find, halving the path
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -194,7 +212,7 @@ def _components(deg: np.ndarray, ends: np.ndarray) -> tuple[int, int, list[Row]]
             ones[r] += 1
         elif d == 2:
             twos[r] += 1
-    return self_loops, multi_edges, [(r, size[r], ones[r], twos[r], 1) for r in roots]
+    return [(r, size[r], ones[r], twos[r], 1) for r in roots]
 
 
 def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
@@ -230,34 +248,29 @@ def _classify(seq: DegreeSequence, self_loops: int, multi_edges: int,
 
 
 class CensusBuffers:
-    """The two ell-sized working arrays of a census above
-    _UNION_FIND_MAX_N vertices, for graphs of one sequence; one set serves
-    one thread at a time. A census given these writes into them: made
-    afresh each census, their pages and the pairing buffer's cost a
-    replicate at n = 1e5 about 1,250 faults and 2 ms of system time. The
-    census's boolean temporaries, an eighth their size, cost 14 faults and
-    are not kept.
+    """The two ell-sized working arrays of a census, for graphs of one
+    sequence; one set serves one thread at a time. A census given these
+    writes into them: made afresh each census, their pages and the pairing
+    buffer's cost a replicate at n = 1e5 about 1,250 faults and 2 ms of
+    system time. The census's boolean temporaries, an eighth their size,
+    cost 14 faults and are not kept.
     """
 
     def __init__(self, seq: DegreeSequence):
         self.ends = np.empty((seq.ell // 2, 2), dtype=np.int32)  # owners of each pair
-        self.cols = np.empty(seq.ell, dtype=np.int32)  # columns, then int64 keys
+        self.cols = np.empty(seq.ell, dtype=np.int32)  # columns, if any, then int64 keys
 
 
-def _census_search(seq: DegreeSequence, pairing: np.ndarray,
-                   buffers: CensusBuffers | None) -> ComponentCensus:
-    """The census from one search, with labels for what it missed."""
+def _search_rows(seq: DegreeSequence, pairing: np.ndarray, ends: np.ndarray,
+                 cols: np.ndarray) -> list[Row]:
+    """The rows, unordered, of one search's component and of what it
+    missed, from the pair owners `ends` of `pairing`; the adjacency
+    columns are written into `cols`."""
     # local: only graphs above _UNION_FIND_MAX_N need scipy, whose import is slow
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
-    if buffers is None:
-        buffers = CensusBuffers(seq)
     n = seq.n
-    # every id in a pairing is below ell, so "clip" never clips; mode
-    # "raise" would fill a temporary copy of `out` first
-    ends = np.take(seq.half_edge_owners, pairing, out=buffers.ends, mode="clip")
-    cols = buffers.cols
     cols[pairing[:, 0]] = ends[:, 1]
     cols[pairing[:, 1]] = ends[:, 0]
     # int32 indices and float64 data are what scipy's graph routines use
@@ -278,42 +291,21 @@ def _census_search(seq: DegreeSequence, pairing: np.ndarray,
             # selects rows about ten times faster than a boolean index
             out = unreached[ends[:, 0]]
             local = np.searchsorted(rest, np.compress(out, ends, axis=0))
-            # its loops and parallel edges are counted with all the others below
-            _, _, rows = _components(seq.degrees[rest], local)
             vertex = rest.tolist()
-            rows = [(vertex[r], *counts) for r, *counts in rows]
+            rows = [(vertex[r], *counts)
+                    for r, *counts in _components(seq.degrees[rest], local)]
         else:
             rows = _sparse_rows(adj[rest][:, rest], seq.degrees[rest], rest)
-
-    # self-loops and parallel edges of the whole graph, by one sort of the
-    # vertex-pair keys min * n + max = min * (n - 1) + a + b, in the bytes
-    # of the columns: they are spent once the labels are known
-    a, b = ends[:, 0], ends[:, 1]
-    self_loops = int(np.count_nonzero(a == b))
-    key = np.minimum(a, b, out=cols.view(np.int64))
-    key *= n - 1
-    key += a
-    key += b
-    key.sort()
-    repeats = key[1:][key[1:] == key[:-1]]
-    # a self-loop at v has the key v*(n+1), which no other edge has; loops
-    # at one vertex are not parallel edges
-    repeats = repeats[repeats % (n + 1) != 0]
-    # a pair joined by m parallel edges repeats m-1 times: C(m, 2) pairs
-    _, extra = np.unique(repeats, return_counts=True)
-    multi_edges = int((extra * (extra + 1) // 2).sum())
-
     rows.append((int(reached.min()), len(reached), seq.n1 - sum(r[2] * r[4] for r in rows),
                  seq.n2 - sum(r[3] * r[4] for r in rows), 1))
-    rows.sort()  # _classify breaks size ties by row order
-    return _classify(seq, self_loops, multi_edges, rows)
+    return rows
 
 
 def _sparse_rows(adj: csr_matrix, deg: np.ndarray, vertex: np.ndarray) -> list[Row]:
     """_components's rows, unordered, from scipy's labels, of the graph
     `adj` whose vertex i is `vertex[i]` (ascending) and has degree
     `deg[i]`; equal components share one row."""
-    # local, as in _census_search: only graphs above _UNION_FIND_MAX_N get here
+    # local, as in _search_rows: only graphs above _UNION_FIND_MAX_N get here
     from scipy.sparse.csgraph import connected_components
 
     # "weak" on a symmetric matrix is undirected connectivity; scipy's

@@ -105,14 +105,15 @@ class LimitParams:
         for name in ("rho1", "p2", "d", "nu"):
             value = getattr(self, name)
             if not is_real(value):
-                raise InvalidLimitParams(f"{name} must be a real number, got {value!r}")
+                raise InvalidLimitParams(
+                    f"{name} must be a real number, got {shown(value, repr)}")
             # the checks and formulas below see a float: a huge int would
             # overflow their arithmetic, and a numpy float32 is no JSON number
             try:
                 object.__setattr__(self, name, float(value))
             except OverflowError:
                 raise InvalidLimitParams(
-                    f"{name} must be within the float range, got {value}") from None
+                    f"{name} must be within the float range, got {shown(value)}") from None
         for name in ("rho1", "p2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -163,7 +164,7 @@ def validate(raw_degrees) -> DegreeSequence:
     if above.size:
         v = int(above[0])
         raise ZeroOrNegativeDegree(
-            f"vertex {v} has degree {raw[v]}, above the bound 2**31 - 1 = {DEGREE_MAX}"
+            f"vertex {v} has degree {shown(raw[v])}, above the bound 2**31 - 1 = {DEGREE_MAX}"
         )
     degrees = raw.astype(np.int64)
     if raw.dtype.kind not in "iu" and not np.array_equal(degrees, raw):
@@ -189,6 +190,18 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def shown(value, text=str, about=False) -> str:
+    """`value` as an error message gives it, by `text` (str or repr); or
+    the magnitude of an integer, "about 1e5000", when `about` is set or
+    when text refuses it, as str() and repr() refuse over 4300 digits."""
+    if not about:
+        try:
+            return text(value)
+        except ValueError:
+            pass
+    return f"about {'-' if value < 0 else ''}1e{math.floor(math.log10(abs(value)))}"
+
+
 def is_real(value) -> bool:
     """Whether `value` is a Python or numpy real number; a bool is not,
     nor a string."""
@@ -207,17 +220,17 @@ def from_counts(counts: dict[int, int]) -> DegreeSequence:
     """
     ell = sum(deg * m for deg, m in counts.items())
     if ell > DEGREE_MAX:
-        raise ZeroOrNegativeDegree(f"total degree {ell} is above the bound 2**31 - 1")
+        raise ZeroOrNegativeDegree(f"total degree {shown(ell)} is above the bound 2**31 - 1")
     n = sum(counts.values())
     if n > DEGREE_MAX:
-        raise ZeroOrNegativeDegree(f"vertex count {n} is above the bound 2**31 - 1")
+        raise ZeroOrNegativeDegree(f"vertex count {shown(n)} is above the bound 2**31 - 1")
     for deg, m in counts.items():
         if not (is_integer(deg) and 1 <= deg <= DEGREE_MAX):
             raise ZeroOrNegativeDegree(
-                f"degree {deg!r} is not an integer in 1..2**31 - 1")
+                f"degree {shown(deg, repr)} is not an integer in 1..2**31 - 1")
         if not (is_integer(m) and m >= 0):
             raise ZeroOrNegativeDegree(
-                f"degree {deg} has multiplicity {m!r}, not an integer >= 0")
+                f"degree {deg} has multiplicity {shown(m, repr)}, not an integer >= 0")
     parts = [np.full(m, deg, dtype=np.int64) for deg, m in sorted(counts.items())]
     if not parts:
         raise ZeroOrNegativeDegree("counts map is empty")
@@ -253,19 +266,21 @@ def check_build_targets(n: int, rho1: float, p2: float,
     may be either too, and a bool is neither; NaN fails.
     """
     if not (is_integer(n) and n >= 1):
-        raise InfeasibleTargets(f"n must be an integer >= 1, got {n}")
-    if n > sys.float_info.max:  # not printed: str() refuses over 4300 digits
-        raise InfeasibleTargets(f"n must be within the float range, got about "
-                                f"1e{math.floor(math.log10(n))}")
+        raise InfeasibleTargets(f"n must be an integer >= 1, got {shown(n)}")
+    if n > sys.float_info.max:
+        raise InfeasibleTargets(f"n must be within the float range, got "
+                                f"{shown(n, about=True)}")
     real_rho1, real_p2 = _as_float(rho1), _as_float(p2)
     if not 0 <= real_rho1 < math.inf:
-        raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {rho1!r}")
+        raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {shown(rho1, repr)}")
     if not 0 <= real_p2 < 1:
-        raise InfeasibleTargets(f"p2 must be in [0, 1), got {p2!r}")
+        raise InfeasibleTargets(f"p2 must be in [0, 1), got {shown(p2, repr)}")
     if not (is_integer(bulk_degree) and bulk_degree >= 3):
-        raise InfeasibleTargets(f"bulk_degree must be an integer >= 3, got {bulk_degree}")
+        raise InfeasibleTargets(
+            f"bulk_degree must be an integer >= 3, got {shown(bulk_degree)}")
     if bulk_degree > DEGREE_MAX:  # no degree is larger (see validate)
-        raise InfeasibleTargets(f"bulk_degree must be at most 2**31 - 1, got {bulk_degree}")
+        raise InfeasibleTargets(
+            f"bulk_degree must be at most 2**31 - 1, got {shown(bulk_degree)}")
     return int(n), real_rho1, real_p2, int(bulk_degree)
 
 

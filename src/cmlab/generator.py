@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .degseq import DegreeSequence, is_integer
+from .degseq import DegreeSequence, is_integer, shown
 from .errors import InvalidConfig, MalformedEdgeList
 
 _U64 = 2**64
@@ -44,7 +44,7 @@ class Seed:
             value = getattr(self, name)
             if not (is_integer(value) and 0 <= value < _U64):
                 raise InvalidConfig(
-                    f"{name} must be a 64-bit unsigned integer, got {value}")
+                    f"{name} must be a 64-bit unsigned integer, got {shown(value)}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.master, spawn_key=(self.stream,))

@@ -41,6 +41,7 @@ from .degseq import (
     check_build_targets,
     is_integer,
     limit_params,
+    shown,
 )
 from .errors import CmlabError, InvalidConfig, SeriesDivergence, ZeroAcceptedSamples
 from .generator import Seed, sample
@@ -122,25 +123,30 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (value is None or isinstance(value, kind)):
                 raise InvalidConfig(
-                    f"{name} must be a {kind.__name__} or None, got {value!r}")
+                    f"{name} must be a {kind.__name__} or None, got {shown(value, repr)}")
         if (self.seq is None) == (self.targets is None):
             raise InvalidConfig("config needs exactly one of seq or targets")
         if not isinstance(self.condition_on_simple, bool):
             raise InvalidConfig(
-                f"condition_on_simple must be a bool, got {self.condition_on_simple!r}")
+                f"condition_on_simple must be a bool, "
+                f"got {shown(self.condition_on_simple, repr)}")
         if not (self.source is None or isinstance(self.source, str)):
-            raise InvalidConfig(f"source must be a str or None, got {self.source!r}")
+            raise InvalidConfig(
+                f"source must be a str or None, got {shown(self.source, repr)}")
         if not (is_integer(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise InvalidConfig(
-                f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
+                f"master_seed must be a 64-bit unsigned integer, "
+                f"got {shown(self.master_seed)}"
             )
         for name, low in (("replicates", 1), ("x_max", 0), ("trunc_k", 1),
                           ("threads", 1)):
             value = getattr(self, name)
             if not (is_integer(value) and value >= low):
-                raise InvalidConfig(f"{name} must be an integer >= {low}, got {value}")
+                raise InvalidConfig(
+                    f"{name} must be an integer >= {low}, got {shown(value)}")
         if self.x_max > X_MAX_LIMIT:  # the histogram holds x_max + 2 counts
-            raise InvalidConfig(f"x_max must be at most {X_MAX_LIMIT}, got {self.x_max}")
+            raise InvalidConfig(
+                f"x_max must be at most {X_MAX_LIMIT}, got {shown(self.x_max)}")
         for name in ("master_seed", "replicates", "x_max", "trunc_k", "threads"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
@@ -275,10 +281,11 @@ def _fill(seq: DegreeSequence, master: int, x_max: int,
     return acc
 
 
-def wilson_interval(successes: int, total: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval; well-behaved at frequencies near 0 or 1."""
     if total == 0:
         return 0.0, 1.0
+    z = _WILSON_Z
     phat = successes / total
     denom = 1 + z * z / total
     center = (phat + z * z / (2 * total)) / denom

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .census import ComponentCensus, _classify
-from .degseq import DegreeSequence
+from .degseq import DegreeSequence, shown
 from .errors import TooLarge
 
 HALF_EDGE_CAP = 16
@@ -65,7 +65,7 @@ def double_factorial_odd(ell: int) -> int:
 
 def _check_cap(seq: DegreeSequence, cap: int) -> None:
     if seq.ell > cap:
-        raise TooLarge(f"ell={seq.ell} exceeds the enumeration cap {cap}")
+        raise TooLarge(f"ell={seq.ell} exceeds the enumeration cap {shown(cap)}")
 
 
 def enumerate_matchings(

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .degseq import DegreeSequence, LimitParams
+from .degseq import DegreeSequence, LimitParams, shown
 from .errors import InfeasibleProduct, NuInfinite, SeriesDivergence
 
 #: series terms below this are dropped (geometric tail, ratio 2*p2/d < 1)
@@ -164,9 +164,10 @@ def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
     """
     _require_series(p)
     if not 0 <= x_max <= X_MAX_LIMIT:
-        raise ValueError(f"x_max must be >= 0 and at most {X_MAX_LIMIT}, got {x_max}")
+        raise ValueError(
+            f"x_max must be >= 0 and at most {X_MAX_LIMIT}, got {shown(x_max)}")
     if trunc_k < 1:
-        raise ValueError(f"trunc_k must be >= 1, got {trunc_k}")
+        raise ValueError(f"trunc_k must be >= 1, got {shown(trunc_k)}")
     dist = np.zeros(x_max + 1)
     dist[0] = 1.0
     for k in range(1, trunc_k + 1):

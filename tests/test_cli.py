@@ -382,6 +382,11 @@ CLI_SHA256 = {
         "01bd00dbf7d8adede26d1f741707ab1757813f01bed20222905302bbabe8f7cb",
     "generate --counts 1:10,2:30,3:60 --seed 7":
         "80971146ec95747e1d6b9a579d2c79b4ed6ee4a4e41d38358a674ab1ec06133f",
+    "analyze --counts 1:10,2:30,3:60 --seed 7":
+        "72357a092e30461b28bfe8f9a657c94249e5b579f3aceff2125c3ba97a65f432",
+    # self_loops 3, multi_edges 3, complement 2
+    "analyze --counts 2:6,4:6 --seed 5":
+        "d250722f78bc1b41fcd387808c33a0f9845a708a039d56604355501156cc9254",
 }
 
 

@@ -34,7 +34,8 @@ def test_validate_rejects_odd_total():
 @pytest.mark.parametrize(
     "raw,vertex,degree",
     [([2**32 + 1, 1], 0, 2**32 + 1), ([2**31, 2**31], 0, 2**31),
-     ([1, 1, 2**64], 2, 2**64), ([2, 1.5e10], 1, 1.5e10)],
+     ([1, 1, 2**64], 2, 2**64), ([2, 1.5e10], 1, 1.5e10),
+     ([10**5000, 1], 0, "about 1e5000")],
 )
 def test_validate_rejects_degree_above_int32(raw, vertex, degree):
     """Degrees are stored as int32: a larger one is an error naming the
@@ -77,6 +78,10 @@ def test_validate_rejects_total_degree_above_int32(raw):
                      "total degree 269999367544", id="build_sequence"),
         pytest.param(lambda: degseq.parse_degrees("3 5000000000\n"),
                      "total degree 15000000000", id="parse_degrees"),
+        pytest.param(lambda: degseq.from_counts({2: 10**5000}),
+                     "total degree about 1e5000", id="from_counts_huge_count"),
+        pytest.param(lambda: degseq.from_counts({10**5000: 2}),
+                     "total degree about 1e5000", id="from_counts_huge_degree"),
     ],
 )
 def test_huge_counts_raise_before_any_array(small_np_full, make, message):
@@ -96,6 +101,10 @@ def test_huge_counts_raise_before_any_array(small_np_full, make, message):
         pytest.param({2: -1, 4: 1}, r"degree 2 has multiplicity -1,", id="negative_count"),
         pytest.param({2: 2.5}, r"degree 2 has multiplicity 2\.5,", id="fractional_count"),
         pytest.param({2: True}, r"degree 2 has multiplicity True,", id="bool_count"),
+        pytest.param({2: -10**5000, 4: 1}, r"degree 2 has multiplicity about -1e5000,",
+                     id="huge_negative_count"),
+        pytest.param({-10**5000: 1, 2: 1}, r"degree about -1e5000 is not an integer",
+                     id="huge_negative_degree"),
     ],
 )
 def test_from_counts_rejects_bad_degree_or_count(small_np_full, counts, message):

@@ -338,7 +338,8 @@ def test_build_targets_hold_python_numbers():
 # at or below 2 * p2 = 0.6 breaks a bound on both, which predict's
 # SeriesDivergence names by p2, as it must for p2 = 2.5 at d = 2.7
 _FLOATS = st.sampled_from([0.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
-_HUGE = st.one_of(st.integers(2**53, 2**1100), st.integers(-(2**1100), -(2**53)))
+_HUGE = st.one_of(st.integers(2**53, 2**1100), st.integers(-(2**1100), -(2**53)),
+                  st.sampled_from([10**5000, -10**5000]))
 _ANY_VALUE = st.one_of(
     st.none(),
     st.booleans(),

@@ -11,6 +11,7 @@ from cmlab import census, cli, degseq, generator, oracle, theory
 from cmlab.census import component_census
 from cmlab.errors import TooLarge
 from cmlab.oracle import census_key
+from reference_census import reference_census
 from reference_oracle import enumerate_multigraphs, exact_factorial_moment, reference_law
 
 
@@ -200,10 +201,12 @@ def _summary(seq, pairing):
     """A multigraph's summary: self-loops, parallel-edge pairs, the
     giant's signature (the first largest component in lowest-vertex
     order) and the other signatures, sorted."""
-    loops, multi, rows = census._components(seq.degrees, seq.half_edge_owners[pairing])
+    rows = census._components(seq.degrees, seq.half_edge_owners[pairing])
     giant = max(rows, key=lambda row: row[1])
     others = tuple(sorted(row[1:4] for row in rows if row is not giant))
-    return loops, multi, giant[1:4], others
+    g = generator.Multigraph(n=seq.n, owners=seq.half_edge_owners, pairing=pairing)
+    ref = reference_census(g, seq)
+    return ref.self_loops, ref.multi_edges, giant[1:4], others
 
 
 @pytest.mark.parametrize(
@@ -265,6 +268,13 @@ def test_exact_law_cap_raises_before_any_census(monkeypatch):
     seq = degseq.from_counts({2: 9})  # ell = 18
     with pytest.raises(TooLarge, match=r"ell=18 exceeds the enumeration cap 16"):
         oracle.exact_law(seq, cap=16)
+
+
+def test_exact_law_cap_beyond_str_is_named_by_magnitude():
+    """A cap too long for str() (over 4300 digits) still gives the cap
+    message, with the cap's magnitude."""
+    with pytest.raises(TooLarge, match=r"^ell=2 exceeds the enumeration cap about -1e5000$"):
+        oracle.exact_law(degseq.validate([1, 1]), cap=-10**5000)
 
 
 def test_exact_law_keeps_no_tables_between_calls(monkeypatch):
