@@ -34,16 +34,11 @@ def _add_build_targets(group) -> None:
     group.add_argument("--bulk", type=int, default=3, help="build: bulk degree (>= 3)")
 
 
-def _add_pmf_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--x-max", type=int, default=theory.X_MAX)
-    parser.add_argument("--trunc-k", type=int, default=theory.TRUNC_K)
-
-
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replicates", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--condition-on-simple", action="store_true")
-    _add_pmf_options(parser)
+    parser.add_argument("--x-max", type=int, default=theory.X_MAX)
     parser.add_argument("--threads", type=int, default=1)
 
 
@@ -136,7 +131,7 @@ def _cmd_theory(args) -> int:
                              "or a degree-sequence source")
         nu = math.inf if args.nu is None else args.nu
         params = degseq.LimitParams(rho1=args.rho1, p2=args.p2, d=args.d, nu=nu)
-    pred = theory.predict(params, seq=seq, x_max=args.x_max, trunc_k=args.trunc_k)
+    pred = theory.predict(params, seq=seq, x_max=args.x_max)
     _emit(_json(pred.to_json_dict()), args.out)
     return 0
 
@@ -152,14 +147,8 @@ def _experiment_config(args, **source) -> montecarlo.ExperimentConfig:
     """The config of simulate and sweep: the run options plus a source
     (seq or targets, and the echoed source label)."""
     return montecarlo.ExperimentConfig(
-        replicates=args.replicates,
-        master_seed=args.seed,
-        condition_on_simple=args.condition_on_simple,
-        x_max=args.x_max,
-        trunc_k=args.trunc_k,
-        threads=args.threads,
-        **source,
-    )
+        replicates=args.replicates, master_seed=args.seed, x_max=args.x_max,
+        condition_on_simple=args.condition_on_simple, threads=args.threads, **source)
 
 
 def _cmd_simulate(args) -> int:
@@ -210,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=float)
     p.add_argument("--d", type=float)
     p.add_argument("--nu", type=float)
-    _add_pmf_options(p)
+    p.add_argument("--x-max", type=int, default=theory.X_MAX)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_theory)
 

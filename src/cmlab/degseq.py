@@ -158,21 +158,19 @@ def validate(raw_degrees) -> DegreeSequence:
     raw = np.asarray(raw_degrees)
     if raw.ndim != 1 or raw.size == 0:
         raise ZeroOrNegativeDegree("degree sequence must be a nonempty 1-d array")
-    # before any cast: int64 would wrap a Python int beyond 2**63, and
-    # int32 anything beyond the bound
+    # before any cast: int64 would wrap or refuse a Python int beyond
+    # 2**63 either way, and int32 anything beyond the bound
     above = np.flatnonzero(raw > DEGREE_MAX)
     if above.size:
         v = int(above[0])
         raise ZeroOrNegativeDegree(
             f"vertex {v} has degree {shown(raw[v])}, above the bound 2**31 - 1 = {DEGREE_MAX}"
         )
+    if (raw < 1).any():
+        raise ZeroOrNegativeDegree(f"degrees must all be >= 1, found {shown(raw.min())}")
     degrees = raw.astype(np.int64)
     if raw.dtype.kind not in "iu" and not np.array_equal(degrees, raw):
         raise ZeroOrNegativeDegree("degrees must be integers")
-    if degrees.min() < 1:
-        raise ZeroOrNegativeDegree(
-            f"degrees must all be >= 1, found {int(degrees.min())}"
-        )
     ell = int(degrees.sum())
     if ell > DEGREE_MAX:
         raise ZeroOrNegativeDegree(f"total degree {ell} is above the bound 2**31 - 1")

@@ -47,7 +47,6 @@ from .errors import CmlabError, InvalidConfig, SeriesDivergence, ZeroAcceptedSam
 from .generator import Seed, sample
 from .theory import (
     MAX_K,
-    TRUNC_K,
     X_MAX,
     X_MAX_LIMIT,
     Prediction,
@@ -57,6 +56,7 @@ from .theory import (
     p_connected,
     p_simple,
     predict,
+    tail_means,
 )
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -104,8 +104,8 @@ class ExperimentConfig:
     `seq` must be a DegreeSequence or None, `targets` a BuildTargets or
     None, `source` a str or None and `condition_on_simple` a bool. The
     integer fields may be Python or numpy integers and are stored as
-    Python ints, so the report's echo of them is JSON; x_max is at most
-    theory.X_MAX_LIMIT.
+    Python ints, so the report's echo of them is JSON; x_max, at most
+    theory.X_MAX_LIMIT, bounds the complement histogram and its theory pmf.
     """
 
     seq: DegreeSequence | None = None
@@ -114,7 +114,6 @@ class ExperimentConfig:
     master_seed: int = 0
     condition_on_simple: bool = False
     x_max: int = X_MAX
-    trunc_k: int = TRUNC_K
     threads: int = 1
     source: str | None = None
 
@@ -138,8 +137,7 @@ class ExperimentConfig:
                 f"master_seed must be a 64-bit unsigned integer, "
                 f"got {shown(self.master_seed)}"
             )
-        for name, low in (("replicates", 1), ("x_max", 0), ("trunc_k", 1),
-                          ("threads", 1)):
+        for name, low in (("replicates", 1), ("x_max", 0), ("threads", 1)):
             value = getattr(self, name)
             if not (is_integer(value) and value >= low):
                 raise InvalidConfig(
@@ -147,7 +145,7 @@ class ExperimentConfig:
         if self.x_max > X_MAX_LIMIT:  # the histogram holds x_max + 2 counts
             raise InvalidConfig(
                 f"x_max must be at most {X_MAX_LIMIT}, got {shown(self.x_max)}")
-        for name in ("master_seed", "replicates", "x_max", "trunc_k", "threads"):
+        for name in ("master_seed", "replicates", "x_max", "threads"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
     def resolve_sequence(self) -> DegreeSequence:
@@ -182,15 +180,17 @@ def _overflow(counts: dict[int, int]) -> int:
     return sum(cnt for k, cnt in counts.items() if k > MAX_K)
 
 
-def _lambda_tail(p: LimitParams, fn) -> float:
-    """Poisson-mean mass folded into the k > MAX_K overflow bucket."""
+def _lambda_tail(p: LimitParams, part: int) -> float:
+    """Cycle (part 0) or line (1) mean mass of the k > MAX_K overflow bucket:
+    the terms to the first below 1e-15, or to MAX_K + 399 and tail_means'."""
+    fn = (lambda_cycle, lambda_line)[part]
     total = 0.0
     for k in range(MAX_K + 1, MAX_K + 400):
         term = fn(k, p)
         total += term
         if term < 1e-15:
-            break
-    return total
+            return total
+    return total + tail_means(p, MAX_K + 399)[part]
 
 
 #: the ordered table of statistics, with cycle and line buckets k <= MAX_K
@@ -214,12 +214,12 @@ _STATS = (
             lambda p, n, k=k: lambda_cycle(k, p), in_sweep=k <= 2)
       for k in range(1, MAX_K + 1)),
     _Stat(f"C_gt{MAX_K}", lambda c: _overflow(c.cycle_counts),
-          lambda p, n: _lambda_tail(p, lambda_cycle)),
+          lambda p, n: _lambda_tail(p, 0)),
     *(_Stat(f"L{k}", lambda c, k=k: c.line_counts.get(k, 0),
             lambda p, n, k=k: lambda_line(k, p), in_sweep=k <= 3)
       for k in range(2, MAX_K + 1)),
     _Stat(f"L_gt{MAX_K}", lambda c: _overflow(c.line_counts),
-          lambda p, n: _lambda_tail(p, lambda_line)),
+          lambda p, n: _lambda_tail(p, 1)),
 )
 
 
@@ -363,7 +363,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     # degenerate sequences (2*p2 >= d) fall outside the limit theory;
     # their reports carry empirical values with null theory columns
     try:
-        pred = predict(params, x_max=cfg.x_max, trunc_k=cfg.trunc_k)
+        pred = predict(params, x_max=cfg.x_max)
     except SeriesDivergence:
         pred = None
 
@@ -399,8 +399,8 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
         "collect_components": True,
         "collect_simplicity": True,
         "x_max": cfg.x_max,
-        "trunc_k": cfg.trunc_k,
-        # a constant, not a config field; echoed for the same reason
+        # constants, not config fields; echoed for the same reason
+        "trunc_k": 60,  # the complement pmf's former cut in k
         "max_k": MAX_K,
         "source": cfg.source,
     }

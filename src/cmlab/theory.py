@@ -24,16 +24,18 @@ SERIES_TOL = 1e-12
 SERIES_MAX_K = 10_000
 #: per-component Poisson truncation mass for the complement pmf
 _PMF_COMPONENT_TAIL = 1e-12
-#: defaults of every report: the complement pmf covers 0..X_MAX and sums
-#: the k-scaled components for k <= TRUNC_K; C_k and L_k are listed, and
-#: a report gives each its own row, for k <= MAX_K
+#: the complement pmf adds components up to this k by np.convolve, as when
+#: it was cut there, and above it by shifted sums, whose cost is not k-fold;
+#: there an all-subnormal pmf (its sums are slow) is taken as 0
+_CONVOLVE_MAX_K = 60
+#: defaults of every report: the complement pmf covers 0..X_MAX; C_k and
+#: L_k are listed, and a report gives each its own row, for k <= MAX_K
 X_MAX = 50
-#: the largest x_max of a report: the pmf and a simulation's histogram
-#: hold x_max + 1 entries, and near 2*p2/d = 1 with a raised trunc_k the
-#: pmf costs about x_max^2 operations; a theory report at this bound takes
-#: about 2 s on a 2-core machine at rho1 = 1, p2 = 0.49, d = 1, trunc_k = 1000
+#: the largest x_max of a report: the pmf and a simulation's histogram hold
+#: x_max + 1 entries, and the pmf costs up to about x_max^2 operations; at
+#: this bound a theory report took 0.5 s at p2 = 0.499995, d = 1 and 2.5 s
+#: at rho1 = 30, p2 = 0.4995, d = 1, on a 2-core machine
 X_MAX_LIMIT = 10**4
-TRUNC_K = 60
 MAX_K = 10
 
 
@@ -153,40 +155,50 @@ def paper_closed_form_complement(p: LimitParams) -> float:
     )
 
 
-def complement_pmf(p: LimitParams, x_max: int, trunc_k: int) -> np.ndarray:
-    """Distribution of sum_{k<=trunc_k} k*(C_k + L_k) on 0..x_max.
+def tail_means(p: LimitParams, k_max: int) -> tuple[float, float]:
+    """Sums over k > k_max of lambda_cycle(k) and of lambda_line(k), with
+    x = 2*p2/d: (-log(1 - x) - sum_{k<=k_max} x^k/k)/2, to a few ulps of
+    -log(1 - x), and rho1^2/(2d) x^(max(k_max, 1) - 1)/(1 - x)."""
+    _require_series(p)
+    x = 2 * p.p2 / p.d
+    head = math.fsum(x**k / k for k in range(1, k_max + 1))
+    return (max(0.0, (-math.log1p(-x) - head) / 2),
+            p.rho1**2 / (2 * p.d) * x ** (max(k_max, 1) - 1) / (1 - x))
 
-    Iterated convolution of the k-scaled Poisson components, each
-    truncated to all but 1e-12 of its mass. A component whose mean has
-    exp(-lambda) == 1.0 has the pmf [1.0] and changes nothing, and from
-    k = 2 on neither mean grows, so the loop stops at the first k >= 2
-    where both are such: a huge trunc_k costs no more than a small one.
+
+def complement_pmf(p: LimitParams, x_max: int) -> np.ndarray:
+    """Law of sum_k k*(C_k + L_k), the limit number of vertices outside
+    the giant, on 0..x_max; its entry 0 is p_connected(p). Iterated
+    convolution, for k <= x_max, of the k-scaled Poisson components, each
+    cut to all but 1e-12 of its mass. From k = 2 on neither mean grows, so
+    the loop stops at the first k >= 2 where both have exp(-lambda) == 1.0
+    (the pmf [1.0]); past x_max, all k > x_max scale the pmf by one factor.
     """
     _require_series(p)
     if not 0 <= x_max <= X_MAX_LIMIT:
         raise ValueError(
             f"x_max must be >= 0 and at most {X_MAX_LIMIT}, got {shown(x_max)}")
-    if trunc_k < 1:
-        raise ValueError(f"trunc_k must be >= 1, got {shown(trunc_k)}")
     dist = np.zeros(x_max + 1)
     dist[0] = 1.0
-    for k in range(1, trunc_k + 1):
+    for k in range(1, x_max + 1):
         lams = [lam for lam in (lambda_cycle(k, p), lambda_line(k, p))
                 if math.exp(-lam) < 1.0]
         if k >= 2 and not lams:
-            break
+            return dist
         for lam in lams:
-            if k > x_max:
-                # only the pmf's 0 lands in 0..x_max: the convolution is
-                # one product per entry, with the same bits. Near
-                # 2*p2/d = 1 the loop can run to k in the millions
-                dist *= math.exp(-lam)
-                continue
             probs = _poisson_pmf_truncated(lam, x_max // k)
-            comp = np.zeros((len(probs) - 1) * k + 1)
-            comp[::k] = probs
-            dist = np.convolve(dist, comp)[: x_max + 1]
-    return dist
+            if k <= _CONVOLVE_MAX_K:
+                comp = np.zeros((len(probs) - 1) * k + 1)
+                comp[::k] = probs
+                dist = np.convolve(dist, comp)[: x_max + 1]
+            elif dist.max() < np.finfo(float).tiny:  # < 1e-303 from here on, and slow
+                return np.zeros(x_max + 1)
+            else:
+                out = dist * probs[0]
+                for j in range(1, min(len(probs), x_max // k + 1)):
+                    out[j * k:] += probs[j] * dist[: x_max + 1 - j * k]
+                dist = out
+    return dist * math.exp(-sum(tail_means(p, x_max)))
 
 
 def _poisson_pmf_truncated(lam: float, max_j: int) -> np.ndarray:
@@ -340,10 +352,10 @@ def predict(
     p: LimitParams,
     seq: DegreeSequence | None = None,
     x_max: int = X_MAX,
-    trunc_k: int = TRUNC_K,
 ) -> Prediction:
     """Evaluate every prediction at `p`; include the log graph count when
-    a concrete sequence is supplied and nu is finite."""
+    a concrete sequence is supplied and nu is finite. The complement pmf
+    is the full limit law on 0..x_max, so its entry 0 is p_connected."""
     _require_series(p)
     nu_ok = not math.isinf(p.nu)
     value, bound = _complement_series(p)
@@ -357,7 +369,7 @@ def predict(
         expected_complement=value,
         expected_complement_truncation_bound=bound,
         paper_closed_form=paper_closed_form_complement(p),
-        complement_pmf=[float(v) for v in complement_pmf(p, x_max, trunc_k)],
+        complement_pmf=[float(v) for v in complement_pmf(p, x_max)],
         log_count_connected_simple=(
             log_count_connected_simple(seq, p) if (seq is not None and nu_ok) else None
         ),

@@ -40,7 +40,6 @@ def desk_report():
         master_seed=MASTER_SEED,
         condition_on_simple=True,
         x_max=50,
-        trunc_k=60,
         threads=1,
     )
     return montecarlo.run_experiment(cfg)
@@ -150,7 +149,7 @@ def test_criterion_7_complement_distribution(desk_report):
     dev = abs(mean - EXPECTED_COMPLEMENT)
     ok_mean = dev <= 0.05
 
-    pmf = theory.complement_pmf(TARGET, x_max=50, trunc_k=60)
+    pmf = theory.complement_pmf(TARGET, x_max=50)
     bucket_p = [float(pmf[0]), float(pmf[1]), float(pmf[2]), float(pmf[3]),
                 float(1.0 - pmf[:4].sum())]
     h = desk_report.complement_histogram
@@ -198,9 +197,8 @@ def test_criterion_9_identity_suite():
             for k in range(1, 3000)
         )
         ok_identity &= abs(theory.p_connected(p) - math.exp(-lam_sum)) <= 1e-9
-        # trunc_k deep enough that the dropped tail is < 1e-9 even at the
-        # grid's largest ratio 2*p2/d = 0.8
-        pmf0 = theory.complement_pmf(p, x_max=0, trunc_k=200)[0]
+        # at x_max = 0 every mean enters through the closed-form tail
+        pmf0 = theory.complement_pmf(p, x_max=0)[0]
         ok_identity &= abs(pmf0 - theory.p_connected(p)) <= 1e-9
 
     seq100 = degseq.from_counts({1: 2, 2: 49})
@@ -231,7 +229,6 @@ def test_criterion_10_thread_determinism(desk_report):
         master_seed=MASTER_SEED,
         condition_on_simple=True,
         x_max=50,
-        trunc_k=60,
         threads=8,
     )
     report8 = montecarlo.run_experiment(cfg8)

@@ -343,32 +343,30 @@ def test_theory_large_poisson_mean_finishes():
     assert payload["p_connected"] == 0.0
 
 
-def test_theory_huge_trunc_k_finishes(capsys):
-    """From k = 23 on both Poisson means have exp(-lambda) == 1.0, so
-    complement_pmf stops there, and trunc_k = 10**12 prints the bytes
-    trunc_k = 60 does."""
-    argv = ["theory", "--rho1", "1", "--p2", "0.3", "--d", "2.7", "--nu", "2"]
-    code, small, _ = _run([*argv, "--trunc-k", "60"], capsys)
-    assert code == 0
-    start = time.monotonic()
-    code, huge, err = _run([*argv, "--trunc-k", str(10**12)], capsys)
-    assert time.monotonic() - start < 10
-    assert code == 0, err
-    assert huge == small
-
-
-def test_theory_near_critical_huge_trunc_k_finishes(capsys):
-    """At 2*p2/d = 0.99999 the means fall below 1e-16 only near k = 2e6,
-    where complement_pmf stops; each k above x_max = 50 costs one product
-    per entry, not a convolution with a k-long array."""
-    argv = ["theory", "--rho1", "0", "--p2", "0.499995", "--d", "1", "--nu", "2",
-            "--trunc-k", str(10**12)]
+@pytest.mark.parametrize("rho1", ["0", "1"])
+def test_theory_near_critical_finishes_with_the_full_law(rho1, capsys):
+    """At 2*p2/d = 0.99999 the means fall below 1e-16 only near k = 2e6;
+    the pmf on 0..50 takes its k > 50 part in one closed-form factor, and
+    its entry 0 is p_connected (0.0 at rho1 = 1)."""
+    argv = ["theory", "--rho1", rho1, "--p2", "0.499995", "--d", "1", "--nu", "2"]
     start = time.monotonic()
     code, out, err = _run(argv, capsys)
-    assert time.monotonic() - start < 60
+    assert time.monotonic() - start < 10
     assert code == 0, err
     payload = _strict_json(out)
-    assert payload["complement_pmf"][0] == pytest.approx(payload["p_connected"], rel=1e-9)
+    assert payload["complement_pmf"][0] == pytest.approx(payload["p_connected"],
+                                                          rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("command", [["theory", "--rho1", "1", "--p2", "0.3", "--d", "2.7"],
+                                     ["simulate", "--counts", "2:4"],
+                                     ["sweep", "--n-values", "50"]])
+def test_trunc_k_is_a_usage_error(command, capsys):
+    """The pmf is the full limit law: there is no --trunc-k to cut it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run([*command, "--trunc-k", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 #: sha256 of stdout, recorded before `limit_params`, the single pairing
@@ -402,7 +400,7 @@ def test_cli_output_bytes_pinned(args, capsys):
     [
         (["--counts", "2:4", "--x-max", "-2"], "x_max"),
         (["--counts", "2:4", "--threads", "0"], "threads"),
-        (["--counts", "2:4", "--trunc-k", "-5"], "trunc_k"),
+        (["--counts", "2:4", "--x-max", str(10**30)], "x_max"),
         (["--counts", "2:4", "--replicates", "0"], "replicates"),
         (["--counts", "2:4", "--seed", "-1"], "master_seed"),
         (["--n", "100", "--rho1", "nan", "--p2", "0.3"], "rho1"),
@@ -516,7 +514,6 @@ _RUN = _flat([
     _opt("--threads", _mostly(st.integers(1, 4), 0)),
     _opt("--seed", _mostly(st.integers(0, 2**64 - 1), -1, 2**64)),
     _opt("--x-max", _mostly(st.integers(0, 60), -2)),
-    _opt("--trunc-k", _mostly(st.integers(0, 60), -2)),
     st.sampled_from([[], ["--condition-on-simple"]]),
 ])
 _THEORY = _flat([

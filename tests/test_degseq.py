@@ -124,6 +124,11 @@ def test_validate_rejects_zero_degree():
         degseq.validate([])
     with pytest.raises(ZeroOrNegativeDegree):
         degseq.validate([1.5, 2.5])
+    # beyond int64: checked before the cast, which would raise OverflowError
+    with pytest.raises(ZeroOrNegativeDegree, match=r"found -1000000000000000000000000000000$"):
+        degseq.validate([-10**30, 1])
+    with pytest.raises(ZeroOrNegativeDegree, match=r"found about -1e5000$"):
+        degseq.validate([-10**5000, 1])
 
 
 def test_window_params_hand_example():

@@ -230,8 +230,8 @@ def test_config_requires_one_source():
     [
         ("replicates", {"replicates": 0}),
         ("x_max", {"x_max": -2}),
-        ("trunc_k", {"trunc_k": -5}),
-        ("trunc_k", {"trunc_k": 0}),
+        ("replicates", {"replicates": -10**5000}),
+        ("x_max", {"x_max": -10**5000}),
         ("threads", {"threads": 0}),
         ("master_seed", {"master_seed": -1}),
         ("master_seed", {"master_seed": 2**64}),
@@ -250,9 +250,22 @@ def test_config_rejects_bad_field(field, kwargs):
     assert isinstance(exc.value, ValueError)
 
 
+def test_overflow_bucket_theory_near_criticality():
+    """At 2*p2/d = 0.99999 the k > 10 means fall below 1e-15 only near
+    k = 3.5e6; the C_gt10 and L_gt10 theory is the closed form's
+    (-log(1 - x) - sum_{k<=10} x^k/k)/2 and rho1^2/(2d) x^9/(1 - x)."""
+    p = degseq.LimitParams(rho1=1.0, p2=0.499995, d=1.0, nu=2.0)
+    x = 2 * p.p2 / p.d
+    cycles = (-math.log1p(-x) - math.fsum(x**k / k for k in range(1, 11))) / 2
+    lines = x**9 / 2 / (1 - x)
+    assert montecarlo._lambda_tail(p, 0) == pytest.approx(cycles, rel=1e-9)
+    assert montecarlo._lambda_tail(p, 1) == pytest.approx(lines, rel=1e-9)
+    assert cycles == pytest.approx(4.29, abs=0.01)
+    assert lines == pytest.approx(49995, abs=1)
+
+
 @pytest.mark.parametrize("value", [2.5, True])
-@pytest.mark.parametrize("field", ["master_seed", "replicates", "x_max", "trunc_k",
-                                   "threads"])
+@pytest.mark.parametrize("field", ["master_seed", "replicates", "x_max", "threads"])
 def test_config_rejects_non_integer_field(field, value):
     with pytest.raises(InvalidConfig,
                        match=rf"^{field} must be .*integer.*, got {re.escape(str(value))}$"):
@@ -379,7 +392,7 @@ def _experiment_config(**field):
     source = {"targets": montecarlo.BuildTargets(n=20, rho1=1.0, p2=0.3)} if "seq" in field \
         else {"seq": degseq.validate([1, 1])}
     cfg = montecarlo.ExperimentConfig(**{**source, "replicates": 3, **field})
-    if cfg.replicates > 3 or cfg.x_max > theory.X_MAX or cfg.trunc_k > theory.TRUNC_K:
+    if cfg.replicates > 3 or cfg.x_max > theory.X_MAX:
         return []  # valid, but not a tiny run
     return [montecarlo.run_experiment(cfg).to_json_dict()]
 
@@ -394,8 +407,8 @@ _ENTRY_FIELDS = [
     *((_limit_params, f) for f in ("rho1", "p2", "d", "nu")),
     *((_build_targets, f) for f in ("n", "rho1", "p2", "bulk_degree")),
     *((_experiment_config, f) for f in ("seq", "targets", "replicates", "master_seed",
-                                        "condition_on_simple", "x_max", "trunc_k",
-                                        "threads", "source")),
+                                        "condition_on_simple", "x_max", "threads",
+                                        "source")),
     *((_seed, f) for f in ("master", "stream")),
 ]
 

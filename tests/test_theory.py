@@ -161,7 +161,7 @@ def test_conditional_dominates_unconditional():
 
 
 def test_complement_pmf_values():
-    pmf = theory.complement_pmf(P, x_max=50, trunc_k=60)
+    pmf = theory.complement_pmf(P, x_max=50)
     assert pmf[0] == pytest.approx(theory.p_connected(P), abs=1e-9)
     # the only weight-1 atom is a single length-1 cycle
     assert pmf[1] == pytest.approx(theory.lambda_cycle(1, P) * pmf[0], abs=1e-9)
@@ -171,9 +171,30 @@ def test_complement_pmf_values():
     trunc_mass = 1.0 - float(pmf.sum())
     assert abs(mean - theory.expected_complement(P)) <= 1e-6 + trunc_mass * 50
 
-    degenerate = theory.complement_pmf(LimitParams(0, 0, 3, 2.0), 10, 40)
+    degenerate = theory.complement_pmf(LimitParams(0, 0, 3, 2.0), 10)
     assert degenerate[0] == 1.0
     assert degenerate[1:].sum() == 0.0
+
+
+def _convolve_pmf(p, x_max, k_last):
+    """The pmf loop by np.convolve over k = 1..k_last, for each nonzero
+    mean; and the first k >= 2 where both means have exp(-lambda) == 1.0
+    (complement_pmf's stop), or None."""
+    dist = np.zeros(x_max + 1)
+    dist[0] = 1.0
+    stop = None
+    for k in range(1, k_last + 1):
+        lams = (theory.lambda_cycle(k, p), theory.lambda_line(k, p))
+        if stop is None and k >= 2 and all(math.exp(-lam) == 1.0 for lam in lams):
+            stop = k
+        for lam in lams:
+            if lam == 0.0:
+                continue
+            probs = theory._poisson_pmf_truncated(lam, x_max // k)
+            comp = np.zeros((len(probs) - 1) * k + 1)
+            comp[::k] = probs
+            dist = np.convolve(dist, comp)[:x_max + 1]
+    return dist, stop
 
 
 @pytest.mark.parametrize(
@@ -182,33 +203,77 @@ def test_complement_pmf_values():
      LimitParams(2, 0.45, 1.0, 2.0), LimitParams(0, 0, 3, 2.0)],
 )
 def test_complement_pmf_stops_early_with_the_same_bits(p):
-    """complement_pmf(p, x_max, 10**12) ends once every later factor is
-    the pmf [1.0], and equals the plain loop over all k up to 1,000 (the
-    means there are below 1e-16 for each p above) bit for bit, also where
-    k passes x_max."""
+    """Where the loop stops at or before x_max, complement_pmf equals the
+    plain loop over all k up to 1,000 (the means there are below 1e-16
+    for each p above) bit for bit. Where it gets past x_max, it is the
+    plain loop to x_max times one factor exp(-tail_means), bit for bit;
+    this moved the bits of such a pmf on purpose, from a product of one
+    exp(-lambda) per k > x_max, which it matches within 1e-12."""
     for x_max in (50, 0, 1, 5, 17):
-        dist = np.zeros(x_max + 1)
-        dist[0] = 1.0
-        for k in range(1, 1001):
-            for lam in (theory.lambda_cycle(k, p), theory.lambda_line(k, p)):
-                if lam == 0.0:
-                    continue
-                probs = theory._poisson_pmf_truncated(lam, x_max // k)
-                comp = np.zeros((len(probs) - 1) * k + 1)
-                comp[::k] = probs
-                dist = np.convolve(dist, comp)[:x_max + 1]
-        assert np.array_equal(theory.complement_pmf(p, x_max, 10**12), dist)
+        old, _ = _convolve_pmf(p, x_max, 1000)
+        head, stop = _convolve_pmf(p, x_max, x_max)
+        new = theory.complement_pmf(p, x_max)
+        if stop is not None:
+            assert np.array_equal(new, old)
+        else:
+            tail = math.exp(-sum(theory.tail_means(p, x_max)))
+            assert np.array_equal(new, head * tail)
+            np.testing.assert_allclose(new, old, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("x_max,trunc_k,field", [(-1, 60, "x_max"), (10**30, 60, "x_max"),
-                                                 (50, 0, "trunc_k"), (50, -5, "trunc_k"),
-                                                 pytest.param(10**5000, 60, "x_max",
-                                                              id="huge_x_max"),
-                                                 pytest.param(50, -10**5000, "trunc_k",
-                                                              id="huge_trunc_k")])
-def test_complement_pmf_rejects_bad_range(x_max, trunc_k, field):
-    with pytest.raises(ValueError, match=rf"^{field} must be >= "):
-        theory.complement_pmf(P, x_max=x_max, trunc_k=trunc_k)
+@pytest.mark.parametrize("x", [0, 0.22, 0.6, 0.9, 0.98, 0.998, 0.99999])
+def test_complement_pmf_is_the_full_law(x):
+    """complement_pmf(p, x_max)[0] is p_connected(p), the law's mass at 0,
+    at any x_max, also where the means near 2*p2/d = 1 fall below 1e-16
+    only at k in the millions; and the pmf is a sub-probability vector."""
+    for rho1 in (0, 1):
+        p = LimitParams(rho1, x / 2, 1.0, 2.0)
+        for x_max in (0, 1, 17, 50):
+            pmf = theory.complement_pmf(p, x_max)
+            target = theory.p_connected(p)
+            if max(pmf[0], target) >= 1e-300:
+                assert pmf[0] == pytest.approx(target, rel=1e-12, abs=0)
+            assert (pmf >= 0).all()
+            assert pmf.sum() <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("p", [LimitParams(2, 0.45, 1.0, 2.0), LimitParams(0, 0.499, 1.0, 2.0),
+                               LimitParams(1, 0.499, 1.0, 2.0)])
+def test_complement_pmf_shifted_sums_match_convolve(p):
+    """Above k = 60 a component is added by shifted sums, not
+    np.convolve; the pmf agrees with np.convolve's within 1e-12."""
+    x_max = 300
+    head, _ = _convolve_pmf(p, x_max, x_max)
+    ref = head * math.exp(-sum(theory.tail_means(p, x_max)))
+    np.testing.assert_allclose(theory.complement_pmf(p, x_max), ref, rtol=1e-12, atol=1e-300)
+
+
+def test_complement_pmf_near_critical_underflows_to_zero():
+    """At rho1 = 1, 2*p2/d = 0.99999 the law's mass on 0..2000 is about
+    exp(-1000) or less: every entry is 0, as p_connected is."""
+    p = LimitParams(1, 0.499995, 1.0, 2.0)
+    assert theory.p_connected(p) == 0.0
+    assert not theory.complement_pmf(p, 2000).any()
+
+
+def test_tail_means_closed_form():
+    """tail_means(p, K) is the sum of the means over k > K: the lines'
+    within 1e-12 relative, the cycles' (a difference of two sums of about
+    -log(1 - x)) within 1e-15 absolute, which is what exp(-tail) needs."""
+    for p in (P, LimitParams(2, 0.45, 1.0, 2.0), LimitParams(1, 0, 2.7, 2.0)):
+        for k_max in (0, 1, 2, 10, 50):
+            cycles, lines = theory.tail_means(p, k_max)
+            k = range(k_max + 1, 5000)
+            assert cycles == pytest.approx(math.fsum(theory.lambda_cycle(j, p) for j in k),
+                                           rel=1e-12, abs=1e-15)
+            assert lines == pytest.approx(math.fsum(theory.lambda_line(j, p) for j in k),
+                                          rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("x_max", [-1, 10**30, pytest.param(10**5000, id="huge_x_max")])
+def test_complement_pmf_rejects_bad_range(x_max):
+    with pytest.raises(ValueError, match=r"^x_max must be >= "):
+        theory.complement_pmf(P, x_max=x_max)
 
 
 def _recurrence_pmf(lam, max_terms):
@@ -308,7 +373,7 @@ def test_no_line2_approaches_boundary_formula():
 
 
 def test_predict_bundle():
-    pred = theory.predict(P, x_max=30, trunc_k=50)
+    pred = theory.predict(P, x_max=30)
     d = pred.to_json_dict()
     assert d["p_connected"] == pytest.approx(0.6950632347977941, abs=1e-12)
     assert d["lambda_lines"]["2"] == pytest.approx(0.18518518518518517, abs=1e-12)
@@ -342,7 +407,7 @@ def test_accepted_limit_params_predict_strict_json(rho1, d, share, nu):
     except InvalidLimitParams:
         return
     try:
-        pred = theory.predict(p, x_max=10, trunc_k=10)
+        pred = theory.predict(p, x_max=10)
     except SeriesDivergence:
         return
     json.dumps(pred.to_json_dict(), allow_nan=False)
