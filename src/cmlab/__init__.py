@@ -12,6 +12,7 @@ from .census import (
     is_simple,
 )
 from .degseq import (
+    BuildTargets,
     DegreeSequence,
     LimitParams,
     build_sequence,
@@ -20,7 +21,6 @@ from .degseq import (
 )
 from .generator import Multigraph, Seed, sample
 from .montecarlo import (
-    BuildTargets,
     EstimateReport,
     ExperimentConfig,
     run_experiment,

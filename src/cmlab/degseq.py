@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -153,11 +153,21 @@ def validate(raw_degrees) -> DegreeSequence:
     Every degree must be an integer in 1..DEGREE_MAX, and the total degree
     at most DEGREE_MAX and even (otherwise the half-edges cannot be
     paired). Raises ZeroOrNegativeDegree, naming the first vertex (0-based)
-    above the bound or the total above it, or OddTotalDegree.
+    whose degree is not a real number (a bool, a string, a complex
+    number) or is NaN, or is above the bound, or the total above it; or
+    OddTotalDegree.
     """
     raw = np.asarray(raw_degrees)
     if raw.ndim != 1 or raw.size == 0:
         raise ZeroOrNegativeDegree("degree sequence must be a nonempty 1-d array")
+    # before any comparison or cast, which fail or warn on a string, NaN or
+    # a complex number; and numpy reads a bool among a list's ints as 0 or 1
+    listed = isinstance(raw_degrees, (list, tuple))
+    if listed or raw.dtype.kind not in "iu":
+        for v, value in enumerate(raw_degrees if listed else raw.tolist()):
+            if not (is_real(value) and value == value):
+                raise ZeroOrNegativeDegree(
+                    f"vertex {v} has degree {shown(value, repr)}, not an integer")
     # before any cast: int64 would wrap or refuse a Python int beyond
     # 2**63 either way, and int32 anything beyond the bound
     above = np.flatnonzero(raw > DEGREE_MAX)
@@ -253,33 +263,54 @@ def limit_params(seq: DegreeSequence) -> LimitParams:
     )
 
 
-def check_build_targets(n: int, rho1: float, p2: float,
-                        bulk_degree: int) -> tuple[int, float, float, int]:
-    """The four build targets as Python int, float, float and int.
+@dataclass(frozen=True)
+class BuildTargets:
+    """build_sequence arguments, checked on construction (build_sequence
+    makes one): InfeasibleTargets, naming the field, unless n is an
+    integer in 1..sys.float_info.max (sqrt(n) and p2 * n are floats),
+    rho1 a finite real >= 0, p2 a real with 0 <= p2 < 1 and bulk_degree
+    an integer in 3..2**31 - 1. An integer is a Python or numpy one, a
+    real may be either too, and a bool is neither; NaN fails. The fields
+    are stored as Python numbers, so no report or limit sees a numpy
+    scalar."""
 
-    Raises InfeasibleTargets, naming the field, unless n is an integer in
-    1..sys.float_info.max (sqrt(n) and p2 * n are floats), rho1 is a
-    finite real >= 0, p2 a real with 0 <= p2 < 1 and bulk_degree an
-    integer in 3..2**31 - 1. An integer is a Python or numpy one, a real
-    may be either too, and a bool is neither; NaN fails.
-    """
-    if not (is_integer(n) and n >= 1):
-        raise InfeasibleTargets(f"n must be an integer >= 1, got {shown(n)}")
-    if n > sys.float_info.max:
-        raise InfeasibleTargets(f"n must be within the float range, got "
-                                f"{shown(n, about=True)}")
-    real_rho1, real_p2 = _as_float(rho1), _as_float(p2)
-    if not 0 <= real_rho1 < math.inf:
-        raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {shown(rho1, repr)}")
-    if not 0 <= real_p2 < 1:
-        raise InfeasibleTargets(f"p2 must be in [0, 1), got {shown(p2, repr)}")
-    if not (is_integer(bulk_degree) and bulk_degree >= 3):
-        raise InfeasibleTargets(
-            f"bulk_degree must be an integer >= 3, got {shown(bulk_degree)}")
-    if bulk_degree > DEGREE_MAX:  # no degree is larger (see validate)
-        raise InfeasibleTargets(
-            f"bulk_degree must be at most 2**31 - 1, got {shown(bulk_degree)}")
-    return int(n), real_rho1, real_p2, int(bulk_degree)
+    n: int
+    rho1: float
+    p2: float
+    bulk_degree: int = 3
+
+    def __post_init__(self):
+        n, rho1, p2, bulk_degree = self.n, self.rho1, self.p2, self.bulk_degree
+        if not (is_integer(n) and n >= 1):
+            raise InfeasibleTargets(f"n must be an integer >= 1, got {shown(n)}")
+        if n > sys.float_info.max:
+            raise InfeasibleTargets(f"n must be within the float range, got "
+                                    f"{shown(n, about=True)}")
+        real_rho1, real_p2 = _as_float(rho1), _as_float(p2)
+        if not 0 <= real_rho1 < math.inf:
+            raise InfeasibleTargets(f"rho1 must be finite and >= 0, got {shown(rho1, repr)}")
+        if not 0 <= real_p2 < 1:
+            raise InfeasibleTargets(f"p2 must be in [0, 1), got {shown(p2, repr)}")
+        if not (is_integer(bulk_degree) and bulk_degree >= 3):
+            raise InfeasibleTargets(
+                f"bulk_degree must be an integer >= 3, got {shown(bulk_degree)}")
+        if bulk_degree > DEGREE_MAX:  # no degree is larger (see validate)
+            raise InfeasibleTargets(
+                f"bulk_degree must be at most 2**31 - 1, got {shown(bulk_degree)}")
+        for name, value in (("n", int(n)), ("rho1", real_rho1), ("p2", real_p2),
+                            ("bulk_degree", int(bulk_degree))):
+            object.__setattr__(self, name, value)
+
+    def limit_params(self) -> LimitParams:
+        """The n -> infinity window parameters of the built family.
+
+        Degree-1 mass vanishes (n1 ~ sqrt(n)), so the limit mix is p2 at
+        degree 2 and 1-p2 at the bulk degree.
+        """
+        b = self.bulk_degree
+        d = 2 * self.p2 + b * (1 - self.p2)
+        nu = (2 * self.p2 + b * (b - 1) * (1 - self.p2)) / d
+        return LimitParams(rho1=self.rho1, p2=self.p2, d=d, nu=nu)
 
 
 def _as_float(value) -> float:
@@ -304,12 +335,12 @@ def build_sequence(
     If the total degree comes out odd, exactly one bulk vertex gets its
     degree incremented by 1; the repair is visible in the result's counts
     and perturbs every window ratio by o(1). Raises InfeasibleTargets for
-    a field out of range (see check_build_targets); when the rounded
+    a field out of range (see BuildTargets); when the rounded
     counts exceed n, naming rho1 or p2, whichever gives the larger count;
     and naming n when parity cannot be repaired because no bulk vertex
     exists, which a large enough n always leaves.
     """
-    n, rho1, p2, bulk_degree = check_build_targets(n, rho1, p2, bulk_degree)
+    n, rho1, p2, bulk_degree = astuple(BuildTargets(n, rho1, p2, bulk_degree))
     # capped, so that a huge rho1 fails the check below, not round(inf)
     n1 = round(min(rho1 * math.sqrt(n), n + 1))
     n2 = round(p2 * n)

@@ -61,5 +61,5 @@ class InvalidConfig(CmlabError, ValueError):
     """An ExperimentConfig or Seed field has the wrong type (not an
     integer, a bool, a str, a DegreeSequence or a BuildTargets, as the
     field asks) or is out of range, or the config does not name exactly
-    one of seq and targets. A ValueError too, as these were before they
-    had their own type."""
+    one of seq and targets; or an enumeration cap is not an integer. A
+    ValueError too, as these were before they had their own type."""

@@ -35,10 +35,10 @@ from .census import (
     is_simple,
 )
 from .degseq import (
+    BuildTargets,
     DegreeSequence,
     LimitParams,
     build_sequence,
-    check_build_targets,
     is_integer,
     limit_params,
     shown,
@@ -50,6 +50,7 @@ from .theory import (
     X_MAX,
     X_MAX_LIMIT,
     Prediction,
+    _series,
     expected_complement,
     lambda_cycle,
     lambda_line,
@@ -60,38 +61,6 @@ from .theory import (
 )
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
-
-
-@dataclass(frozen=True)
-class BuildTargets:
-    """build_sequence arguments carried by a config (file-less source).
-
-    Each field is checked on construction, as build_sequence checks it;
-    a bad one raises InfeasibleTargets naming it. The fields are stored
-    as Python numbers, so a report or a limit sees no numpy scalar.
-    """
-
-    n: int
-    rho1: float
-    p2: float
-    bulk_degree: int = 3
-
-    def __post_init__(self):
-        fields = ("n", "rho1", "p2", "bulk_degree")
-        checked = check_build_targets(*(getattr(self, name) for name in fields))
-        for name, value in zip(fields, checked):
-            object.__setattr__(self, name, value)
-
-    def limit_params(self) -> LimitParams:
-        """The n -> infinity window parameters of the built family.
-
-        Degree-1 mass vanishes (n1 ~ sqrt(n)), so the limit mix is p2 at
-        degree 2 and 1-p2 at the bulk degree.
-        """
-        b = self.bulk_degree
-        d = 2 * self.p2 + b * (1 - self.p2)
-        nu = (2 * self.p2 + b * (b - 1) * (1 - self.p2)) / d
-        return LimitParams(rho1=self.rho1, p2=self.p2, d=d, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -181,16 +150,11 @@ def _overflow(counts: dict[int, int]) -> int:
 
 
 def _lambda_tail(p: LimitParams, part: int) -> float:
-    """Cycle (part 0) or line (1) mean mass of the k > MAX_K overflow bucket:
-    the terms to the first below 1e-15, or to MAX_K + 399 and tail_means'."""
+    """Cycle (part 0) or line (1) mean mass of the k > MAX_K overflow bucket,
+    by theory._series at 1e-15, with tail_means' closed form as its rest."""
     fn = (lambda_cycle, lambda_line)[part]
-    total = 0.0
-    for k in range(MAX_K + 1, MAX_K + 400):
-        term = fn(k, p)
-        total += term
-        if term < 1e-15:
-            return total
-    return total + tail_means(p, MAX_K + 399)[part]
+    return _series(lambda k: fn(k, p), MAX_K + 1,
+                   lambda k: tail_means(p, k - 1)[part], 1e-15)
 
 
 #: the ordered table of statistics, with cycle and line buckets k <= MAX_K

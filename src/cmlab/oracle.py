@@ -46,8 +46,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .census import ComponentCensus, _classify
-from .degseq import DegreeSequence, shown
-from .errors import TooLarge
+from .degseq import DegreeSequence, is_integer, shown
+from .errors import InvalidConfig, TooLarge
 
 HALF_EDGE_CAP = 16
 
@@ -64,6 +64,8 @@ def double_factorial_odd(ell: int) -> int:
 
 
 def _check_cap(seq: DegreeSequence, cap: int) -> None:
+    if not is_integer(cap):
+        raise InvalidConfig(f"cap must be an integer, got {shown(cap, repr)}")
     if seq.ell > cap:
         raise TooLarge(f"ell={seq.ell} exceeds the enumeration cap {shown(cap)}")
 

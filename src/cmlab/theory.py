@@ -12,29 +12,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .degseq import DegreeSequence, LimitParams, shown
+from .degseq import DegreeSequence, LimitParams, is_integer, shown
 from .errors import InfeasibleProduct, NuInfinite, SeriesDivergence
 
 #: series terms below this are dropped (geometric tail, ratio 2*p2/d < 1)
 SERIES_TOL = 1e-12
-#: hard cap on series length
-SERIES_MAX_K = 10_000
+#: terms a limit series adds one by one before its closed-form rest
+_SERIES_BUDGET = 399
 #: per-component Poisson truncation mass for the complement pmf
 _PMF_COMPONENT_TAIL = 1e-12
 #: the complement pmf adds components up to this k by np.convolve, as when
 #: it was cut there, and above it by shifted sums, whose cost is not k-fold;
-#: there an all-subnormal pmf (its sums are slow) is taken as 0
+#: on either path an all-subnormal pmf (its sums are slow) is taken as 0
 _CONVOLVE_MAX_K = 60
 #: defaults of every report: the complement pmf covers 0..X_MAX; C_k and
 #: L_k are listed, and a report gives each its own row, for k <= MAX_K
 X_MAX = 50
 #: the largest x_max of a report: the pmf and a simulation's histogram hold
 #: x_max + 1 entries, and the pmf costs up to about x_max^2 operations; at
-#: this bound a theory report took 0.5 s at p2 = 0.499995, d = 1 and 2.5 s
-#: at rho1 = 30, p2 = 0.4995, d = 1, on a 2-core machine
+#: this bound a theory report took 0.3-0.4 s at p2 = 0.499995, d = 1 and
+#: 0.1 s at rho1 = 30, p2 = 0.4995, d = 1, on a 2-core machine
 X_MAX_LIMIT = 10**4
 MAX_K = 10
 
@@ -105,36 +106,34 @@ def p_connected_given_simple(p: LimitParams) -> float:
 
 
 def expected_complement(p: LimitParams) -> float:
-    """Expected number of vertices outside the largest component.
-
-    Computed as sum_k k*(lambda_cycle(k) + lambda_line(k)), truncated once
-    a term falls below SERIES_TOL. The sum's geometric closed form,
-    p2/(d-2p2) + rho1^2 (d-p2)/(d-2p2)^2, is checked against it in the
-    theory tests.
-    """
-    value, _ = _complement_series(p)
-    return value
-
-
-def _complement_series(p: LimitParams) -> tuple[float, float]:
-    """Series sum plus an exact bound on the truncated geometric tail."""
+    """Expected number of vertices outside the largest component: the
+    series sum_k k*(lambda_cycle(k) + lambda_line(k)) by _series at
+    SERIES_TOL, with closed form p2/(d-2p2) + rho1^2 (d-p2)/(d-2p2)^2.
+    A cut at a term below SERIES_TOL drops under 2*SERIES_TOL of the sum;
+    past the term budget (2*p2/d above about 0.93) the rest is added."""
     _require_series(p)
     x = 2 * p.p2 / p.d
-    total = 0.0
-    term = math.inf
-    k = 0
-    while (term >= SERIES_TOL or k < 2) and k < SERIES_MAX_K:
-        k += 1
-        term = k * (lambda_cycle(k, p) + lambda_line(k, p))
-        total += term
-    if x == 0.0:
-        return total, 0.0
-    # tail of sum_j j*lambda: cycles contribute x^j/2, lines c*j*x^(j-2)
-    m = k + 1
-    cycle_tail = x**m / (2 * (1 - x))
     c = p.rho1**2 / (2 * p.d)
-    line_tail = c * x ** (m - 2) * (m - (m - 1) * x) / (1 - x) ** 2
-    return total, cycle_tail + line_tail
+    # the rest from k = m: cycles contribute x^k/2 a term, lines c*k*x^(k-2)
+    return _series(lambda k: k * (lambda_cycle(k, p) + lambda_line(k, p)), 1,
+                   lambda m: (x**m / (2 * (1 - x))
+                              + c * x ** (m - 2) * (m - (m - 1) * x) / (1 - x) ** 2),
+                   SERIES_TOL)
+
+
+def _series(term: Callable[[int], float], start: int,
+            rest: Callable[[int], float], tol: float) -> float:
+    """sum_{k >= start} term(k) of a limit series: the terms in order, to
+    the first one below tol from k = 2 on (the line means begin there);
+    or, after _SERIES_BUDGET terms, those plus rest(k), the closed-form
+    sum of the terms from k on."""
+    total = 0.0
+    for k in range(start, start + _SERIES_BUDGET):
+        t = term(k)
+        total += t
+        if t < tol and k >= 2:
+            return total
+    return total + rest(start + _SERIES_BUDGET)
 
 
 def paper_closed_form_complement(p: LimitParams) -> float:
@@ -175,6 +174,8 @@ def complement_pmf(p: LimitParams, x_max: int) -> np.ndarray:
     (the pmf [1.0]); past x_max, all k > x_max scale the pmf by one factor.
     """
     _require_series(p)
+    if not is_integer(x_max):
+        raise ValueError(f"x_max must be an integer, got {shown(x_max, repr)}")
     if not 0 <= x_max <= X_MAX_LIMIT:
         raise ValueError(
             f"x_max must be >= 0 and at most {X_MAX_LIMIT}, got {shown(x_max)}")
@@ -186,13 +187,13 @@ def complement_pmf(p: LimitParams, x_max: int) -> np.ndarray:
         if k >= 2 and not lams:
             return dist
         for lam in lams:
+            if dist.max() < np.finfo(float).tiny:  # < 1e-303 from here on, and slow
+                return np.zeros(x_max + 1)
             probs = _poisson_pmf_truncated(lam, x_max // k)
             if k <= _CONVOLVE_MAX_K:
                 comp = np.zeros((len(probs) - 1) * k + 1)
                 comp[::k] = probs
                 dist = np.convolve(dist, comp)[: x_max + 1]
-            elif dist.max() < np.finfo(float).tiny:  # < 1e-303 from here on, and slow
-                return np.zeros(x_max + 1)
             else:
                 out = dist * probs[0]
                 for j in range(1, min(len(probs), x_max // k + 1)):
@@ -312,7 +313,8 @@ class Prediction:
     Fields whose formula needs a finite nu (or a concrete sequence, for
     the log-count) are None when unavailable. paper_closed_form carries
     the alternative complement-expectation form for side-by-side
-    reporting; acceptance binds to expected_complement (the series).
+    reporting; acceptance binds to expected_complement (the series, with
+    its closed-form rest wherever its term budget cuts it).
     """
 
     params: LimitParams
@@ -322,7 +324,6 @@ class Prediction:
     lambda_lines: dict[int, float]
     lambda_cycles: dict[int, float]
     expected_complement: float
-    expected_complement_truncation_bound: float
     paper_closed_form: float
     complement_pmf: list[float]
     log_count_connected_simple: float | None
@@ -341,7 +342,6 @@ class Prediction:
             "lambda_lines": {str(k): v for k, v in sorted(self.lambda_lines.items())},
             "lambda_cycles": {str(k): v for k, v in sorted(self.lambda_cycles.items())},
             "expected_complement": self.expected_complement,
-            "expected_complement_truncation_bound": self.expected_complement_truncation_bound,
             "paper_closed_form": self.paper_closed_form,
             "complement_pmf": self.complement_pmf,
             "log_count_connected_simple": self.log_count_connected_simple,
@@ -358,7 +358,6 @@ def predict(
     is the full limit law on 0..x_max, so its entry 0 is p_connected."""
     _require_series(p)
     nu_ok = not math.isinf(p.nu)
-    value, bound = _complement_series(p)
     return Prediction(
         params=p,
         p_connected=p_connected(p),
@@ -366,8 +365,7 @@ def predict(
         p_connected_given_simple=p_connected_given_simple(p) if nu_ok else None,
         lambda_lines={k: lambda_line(k, p) for k in range(1, MAX_K + 1)},
         lambda_cycles={k: lambda_cycle(k, p) for k in range(1, MAX_K + 1)},
-        expected_complement=value,
-        expected_complement_truncation_bound=bound,
+        expected_complement=expected_complement(p),
         paper_closed_form=paper_closed_form_complement(p),
         complement_pmf=[float(v) for v in complement_pmf(p, x_max)],
         log_count_connected_simple=(

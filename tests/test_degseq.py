@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,31 @@ def test_from_counts_rejects_bad_degree_or_count(small_np_full, counts, message)
     before any array is asked for, even when the totals are in bound."""
     with pytest.raises(ZeroOrNegativeDegree, match=rf"^{message}"):
         degseq.from_counts(counts)
+
+
+@pytest.mark.parametrize(
+    "raw,vertex,degree",
+    [
+        pytest.param([True, True], 0, "True", id="bools"),
+        pytest.param([2, True, 1], 1, "True", id="bool_among_ints"),
+        pytest.param(np.array([True, True]), 0, "True", id="bool_array"),
+        pytest.param(["a", "b"], 0, "'a'", id="strings"),
+        pytest.param(np.array(["2", "2"]), 0, "'2'", id="string_array"),
+        pytest.param([math.nan, 1.0], 0, "nan", id="nan"),
+        pytest.param(np.array([1.0, 1.0, math.nan]), 2, "nan", id="nan_array"),
+        pytest.param([1 + 0j, 1 + 0j], 0, r"\(1\+0j\)", id="complex"),
+        pytest.param([2, None], 1, "None", id="none"),
+    ],
+)
+def test_validate_rejects_non_number_degree(raw, vertex, degree):
+    """An entry that is not a real number, or is NaN, is named by its
+    vertex before anything compares or casts it: no numpy error, no
+    cast warning, no bool read as 0 or 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroOrNegativeDegree,
+                           match=rf"^vertex {vertex} has degree {degree}, not an integer$"):
+            degseq.validate(raw)
 
 
 def test_validate_rejects_zero_degree():

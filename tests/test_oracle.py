@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from cmlab import census, cli, degseq, generator, oracle, theory
 from cmlab.census import component_census
-from cmlab.errors import TooLarge
+from cmlab.errors import InvalidConfig, TooLarge
 from cmlab.oracle import census_key
 from reference_census import reference_census
 from reference_oracle import enumerate_multigraphs, exact_factorial_moment, reference_law
@@ -275,6 +276,13 @@ def test_exact_law_cap_beyond_str_is_named_by_magnitude():
     message, with the cap's magnitude."""
     with pytest.raises(TooLarge, match=r"^ell=2 exceeds the enumeration cap about -1e5000$"):
         oracle.exact_law(degseq.validate([1, 1]), cap=-10**5000)
+
+
+@pytest.mark.parametrize("cap", [2.5, "16", True, None])
+@pytest.mark.parametrize("entry", [oracle.exact_law, oracle.enumerate_matchings])
+def test_cap_must_be_an_integer(entry, cap):
+    with pytest.raises(InvalidConfig, match=rf"^cap must be an integer, got {re.escape(repr(cap))}$"):
+        entry(degseq.validate([1, 1]), cap=cap)
 
 
 def test_exact_law_keeps_no_tables_between_calls(monkeypatch):

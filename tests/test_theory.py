@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +90,21 @@ def test_expected_complement_series_and_closed_forms():
     # p2 = 0 leaves only the length-2 line term
     only_lines = LimitParams(1.0, 0.0, 3.0, 2.0)
     assert theory.expected_complement(only_lines) == pytest.approx(1 / 3, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho1", [0, 1])
+@pytest.mark.parametrize("x", [0, 0.22, 0.6, 0.9, 0.95, 0.99, 0.9998, 0.99999])
+def test_expected_complement_is_the_closed_form(x, rho1):
+    """expected_complement is p2/(d-2p2) + rho1^2 (d-p2)/(d-2p2)^2 up to
+    2*p2/d = 0.99999, where its series needs millions of terms: past the
+    term budget (from 2*p2/d = 0.95 on here) the rest is added in closed
+    form, within 1e-12. Where the series ends at a term below SERIES_TOL
+    instead, it drops the rest: for the cycles, whose terms x^k/2 fall by
+    the ratio x, that is under twice SERIES_TOL of their sum x/(2(1-x))."""
+    p = LimitParams(rho1, x / 2, 1.0, 2.0)
+    closed = p.p2 / (p.d - 2 * p.p2) + p.rho1**2 * (p.d - p.p2) / (p.d - 2 * p.p2) ** 2
+    rel = 2.5 * theory.SERIES_TOL if 0 < x <= 0.9 else 1e-12
+    assert theory.expected_complement(p) == pytest.approx(closed, rel=rel, abs=0)
 
 
 def test_paper_closed_form_reported_separately():
@@ -276,6 +293,26 @@ def test_complement_pmf_rejects_bad_range(x_max):
         theory.complement_pmf(P, x_max=x_max)
 
 
+@pytest.mark.parametrize("x_max", [True, 5.5, "5", None])
+def test_complement_pmf_rejects_non_integer_x_max(x_max):
+    with pytest.raises(ValueError, match=rf"^x_max must be an integer, got {re.escape(repr(x_max))}$"):
+        theory.complement_pmf(P, x_max=x_max)
+    with pytest.raises(ValueError, match=r"^x_max must be an integer"):
+        theory.predict(P, x_max=x_max)
+
+
+def test_complement_pmf_all_subnormal_stops_on_the_convolve_path():
+    """At rho1 = 30, 2*p2/d = 0.999 the law's mass on 0..10,000 underflows
+    to 0 from k = 10 on; the pmf stops there, on the np.convolve path too,
+    instead of convolving zeros to k = 60 (that took 3.3 s)."""
+    p = LimitParams(30, 0.4995, 1.0, 2.0)
+    start = time.perf_counter()
+    pmf = theory.complement_pmf(p, 10_000)
+    assert time.perf_counter() - start < 1.0
+    assert len(pmf) == 10_001
+    assert not pmf.any()
+
+
 def _recurrence_pmf(lam, max_terms):
     """The pmf loop this package used before it kept a running sum: None
     where it does not end within max_terms terms."""
@@ -379,7 +416,6 @@ def test_predict_bundle():
     assert d["lambda_lines"]["2"] == pytest.approx(0.18518518518518517, abs=1e-12)
     assert d["lambda_cycles"]["1"] == pytest.approx(0.1111111111111111, abs=1e-12)
     assert d["paper_closed_form"] == pytest.approx(0.585565476190476, abs=1e-12)
-    assert d["expected_complement_truncation_bound"] < 1e-10
     assert d["log_count_connected_simple"] is None
 
     infinite_nu = theory.predict(LimitParams(1.0, 0.3, 2.7, math.inf))
