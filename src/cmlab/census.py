@@ -21,9 +21,9 @@ half-edge h is the owner of h's partner. In the critical window every
 vertex of degree >= 3 lies in the giant with high probability, and what
 is left is a few lines and cycles of degree-1 and degree-2 vertices. So
 one breadth-first search from a maximum-degree vertex covers the giant in
-the usual case, and only the vertices it did not reach are labelled: by
-the union-find when there are at most _UNION_FIND_MAX_N of them, else by
-scipy's connected_components, whose equal components share one row.
+the usual case. The vertices it missed, named by its predecessors, make
+one CSR of their own rows for the union-find, up to _UNION_FIND_MAX_N of
+them, else for scipy's connected_components (equal components, one row).
 scipy is imported there, on the first such graph, not with the module:
 the import costs more than the whole exact oracle, which never needs it.
 Outside the window a search can miss most of the graph, and the Python
@@ -31,7 +31,7 @@ loop would take about 2 us a vertex. The searched component's counts are
 the sequence totals minus theirs.
 
 The labellers count no edges. Self-loops and parallel edges are counted
-one way for every graph: by one sort of the vertex-pair keys, held in
+one way for every graph: by one sort of the vertex pairs as int64s, in
 the columns once the labels are known. The two ell-sized arrays, the
 pair owners and the columns, can be made once (CensusBuffers) for every
 graph of a sequence, so their pages are not faulted in again for each
@@ -148,29 +148,27 @@ def component_census(g: Multigraph, degrees: DegreeSequence,
         _check_degrees(g, degrees)
     if buffers is None:
         buffers = CensusBuffers(degrees)
-    n = degrees.n
     # every id in a pairing is below ell, so "clip" never clips; mode
     # "raise" would fill a temporary copy of `out` first
     ends = np.take(degrees.half_edge_owners, g.pairing, out=buffers.ends, mode="clip")
-    if n <= _UNION_FIND_MAX_N:
+    if degrees.n <= _UNION_FIND_MAX_N:
         rows = _components(degrees.degrees, ends)
-    else:
-        rows = _search_rows(degrees, g.pairing, ends, buffers.cols)
+    else:  # the column of a half-edge is its partner's owner
+        buffers.cols[g.pairing[:, 0]] = ends[:, 1]
+        buffers.cols[g.pairing[:, 1]] = ends[:, 0]
+        rows = _search_rows(degrees, buffers.cols)
 
-    # self-loops and parallel edges, by one sort of the vertex-pair keys
-    # min * n + max = min * (n - 1) + a + b, in the bytes of the columns:
-    # they are spent once the labels are known
+    # self-loops and parallel edges: one sort of (max, min) word pairs in the spent columns
     a, b = ends[:, 0], ends[:, 1]
     self_loops = int(np.count_nonzero(a == b))
-    key = np.minimum(a, b, out=buffers.cols.view(np.int64))
-    key *= n - 1
-    key += a
-    key += b
+    words = buffers.cols.reshape(-1, 2)
+    np.maximum(a, b, out=words[:, 0])
+    np.minimum(a, b, out=words[:, 1])
+    key = buffers.cols.view(np.int64)
     key.sort()
     repeats = key[1:][key[1:] == key[:-1]]
-    # a self-loop at v has the key v*(n+1), which no other edge has; loops
-    # at one vertex are not parallel edges
-    repeats = repeats[repeats % (n + 1) != 0]
+    # loops at one vertex, keys of two equal words, are not parallel edges
+    repeats = repeats[repeats >> 32 != repeats & 0xFFFFFFFF]
     # a pair joined by m parallel edges repeats m-1 times, the i-th repeat
     # (from 1) adding i: C(m, 2) pairs. A run starts at its searchsorted
     multi_edges = int((np.arange(1, len(repeats) + 1)
@@ -258,44 +256,44 @@ class CensusBuffers:
 
     def __init__(self, seq: DegreeSequence):
         self.ends = np.empty((seq.ell // 2, 2), dtype=np.int32)  # owners of each pair
-        self.cols = np.empty(seq.ell, dtype=np.int32)  # columns, if any, then int64 keys
+        self.cols = np.empty(seq.ell, dtype=np.int32)  # columns, if any, then vertex pairs
 
 
-def _search_rows(seq: DegreeSequence, pairing: np.ndarray, ends: np.ndarray,
-                 cols: np.ndarray) -> list[Row]:
+def _search_rows(seq: DegreeSequence, cols: np.ndarray) -> list[Row]:
     """The rows, unordered, of one search's component and of what it
-    missed, from the pair owners `ends` of `pairing`; the adjacency
-    columns are written into `cols`."""
+    missed, in the graph whose adjacency columns are `cols`."""
     # local: only graphs above _UNION_FIND_MAX_N need scipy, whose import is slow
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
-    n = seq.n
-    cols[pairing[:, 0]] = ends[:, 1]
-    cols[pairing[:, 1]] = ends[:, 0]
     # int32 indices and float64 data are what scipy's graph routines use
     # internally; any other dtype is copied on every call. Every entry is
     # 1.0, so the data is one float broadcast to ell entries
     adj = csr_matrix((np.broadcast_to(1.0, seq.ell), cols, seq.half_edge_offsets),
-                     shape=(n, n))
+                     shape=(seq.n, seq.n))
     # the matrix is symmetric, so a directed search covers the component
-    reached = breadth_first_order(adj, int(np.argmax(seq.degrees)), directed=True,
-                                  return_predecessors=False)
+    root = int(np.argmax(seq.degrees))
+    reached, pred = breadth_first_order(adj, root, directed=True, return_predecessors=True)
     rows: list[Row] = []
-    if len(reached) < n:
-        unreached = np.ones(n, dtype=bool)
-        unreached[reached] = False
-        rest = np.flatnonzero(unreached)
-        if len(rest) <= _UNION_FIND_MAX_N:
-            # both ends of an edge lie on the same side; np.compress
-            # selects rows about ten times faster than a boolean index
-            out = unreached[ends[:, 0]]
-            local = np.searchsorted(rest, np.compress(out, ends, axis=0))
+    if len(reached) < seq.n:
+        pred[root] = root  # the others with a negative predecessor were missed
+        rest = (pred < 0).nonzero()[0]
+        m, deg = len(rest), seq.degrees[rest]
+        # their own rows, ranges of cols end to end, relabelled 0..m-1
+        # through pred: both ends of an edge lie on the same side
+        ptr = np.zeros(m + 1, dtype=np.int32)
+        np.add.accumulate(deg, out=ptr[1:])
+        at = np.repeat(seq.half_edge_offsets[rest] - ptr[:-1], deg)
+        at += np.arange(len(at), dtype=np.int32)
+        pred[rest] = np.arange(m, dtype=np.int32)
+        local = pred[cols[at]]
+        if m <= _UNION_FIND_MAX_N:
             vertex = rest.tolist()
-            rows = [(vertex[r], *counts)
-                    for r, *counts in _components(seq.degrees[rest], local)]
-        else:
-            rows = _sparse_rows(adj[rest][:, rest], seq.degrees[rest], rest)
+            pairs = np.array((np.repeat(np.arange(m), deg), local)).T
+            rows = [(vertex[r], *counts) for r, *counts in _components(deg, pairs)]
+        else:  # scipy would copy broadcast data, which is slower than ones
+            rows = _sparse_rows(csr_matrix((np.ones(len(local)), local, ptr), shape=(m, m)),
+                                deg, rest)
     rows.append((int(reached.min()), len(reached), seq.n1 - sum(r[2] * r[4] for r in rows),
                  seq.n2 - sum(r[3] * r[4] for r in rows), 1))
     return rows

@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_degree_source(p)
     p.add_argument("--cap", type=int, default=oracle.HALF_EDGE_CAP,
                    help="half-edge enumeration cap; it bounds half-edges, not "
-                        "memory: {1:4,2:8,3:8} (44 half-edges) takes about 5.5 s "
-                        "and 290 MiB")
+                        "memory: a law whose tables pass "
+                        f"{oracle.TABLE_BUDGET} entries exits 1 naming the budget")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -34,8 +34,8 @@ into. Alternating short runs of equal degrees cost the most: 1,2,1,2,...
 at ell = 16 takes about 0.03 s on a 2-core machine, while {1:16},
 2,027,025 matchings that are each a multigraph of their own, takes
 milliseconds. The cap bounds half-edges, not memory: the tables grow
-with the number of distinct outcomes, and with a raised cap
-{1:4,2:8,3:8} (ell 44, 223,449 outcomes) takes about 5.5 s and 290 MiB.
+with the number of distinct outcomes, so _Tables counts the (S, M)
+entries its memos store, and past TABLE_BUDGET exact_law raises TooLarge.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .degseq import DegreeSequence, is_integer, shown
 from .errors import InvalidConfig, TooLarge
 
 HALF_EDGE_CAP = 16
+TABLE_BUDGET = 500_000  # the most (S, M) entries one exact_law call's tables hold
 
 #: joint-pmf key: sorted (statistic, value) pairs; per-k counters appear
 #: only when nonzero, scalar statistics always.
@@ -112,16 +113,23 @@ Structure = tuple[Signature, tuple[Signature, ...]]
 
 class _Tables:
     """The key stride of one exact_law call and each recursion's memo,
-    keyed by a degree tuple."""
+    keyed by a degree tuple; it counts the (S, M) entries they store."""
 
-    __slots__ = ("stride", "matchings", "pieces", "connected", "summaries")
+    __slots__ = ("stride", "matchings", "pieces", "connected", "summaries", "entries")
 
     def __init__(self, ell: int) -> None:
         self.stride = math.comb(ell // 2, 2) + 1
-        self.matchings: dict[tuple[int, ...], Table] = {}
+        self.matchings: dict[tuple[int, ...], Table] = {(): {0: 1}}  # no vertex, one matching
         self.pieces: dict[tuple[int, ...], Pieces] = {}
         self.connected: dict[tuple[int, ...], Table] = {}
         self.summaries: dict[tuple[int, ...], dict[Structure, Table]] = {}
+        self.entries = 0
+
+    def count(self, added: int) -> None:
+        """Count `added` more stored entries, raising TooLarge past TABLE_BUDGET."""
+        self.entries += added
+        if self.entries > TABLE_BUDGET:
+            raise TooLarge(f"{self.entries} table entries pass the budget {TABLE_BUDGET}")
 
 
 def _matchings(free: tuple[int, ...], tables: _Tables) -> Table:
@@ -137,9 +145,6 @@ def _matchings(free: tuple[int, ...], tables: _Tables) -> Table:
     """
     table = tables.matchings.get(free)
     if table is not None:
-        return table
-    if not free:
-        tables.matchings[free] = table = {0: 1}
         return table
     f, others = free[0], free[1:]
     # (counts left, key of f's edges) -> matchings of f's half-edges
@@ -163,6 +168,7 @@ def _matchings(free: tuple[int, ...], tables: _Tables) -> Table:
         for key, count in _matchings(rest, tables).items():
             key += shift
             table[key] = table.get(key, 0) + ways * count
+    tables.count(len(table))
     tables.matchings[free] = table
     return table
 
@@ -226,6 +232,7 @@ def _connected(degrees: tuple[int, ...], tables: _Tables) -> Table:
             for k2, b in alls.items():
                 table[k1 + k2] -= a * b
     table = {key: count for key, count in table.items() if count}
+    tables.count(len(table))
     tables.connected[degrees] = table
     return table
 
@@ -261,10 +268,12 @@ def _summaries(order: tuple[int, ...], tables: _Tables) -> dict[Structure, Table
             else:
                 structure = (giant, tuple(sorted(others + (sig,))))
             table = out.setdefault(structure, {})
+            before = len(table)
             for k1, b in later.items():
                 for k2, a in scaled:
                     key = k1 + k2
                     table[key] = table.get(key, 0) + a * b
+            tables.count(len(table) - before)
     tables.summaries[order] = out
     return out
 
@@ -284,10 +293,6 @@ def census_key(c: ComponentCensus) -> CensusKey:
     return tuple(sorted(items))
 
 
-def _key_value(key: CensusKey, stat: str) -> int:
-    return dict(key).get(stat, 0)
-
-
 @dataclass(frozen=True)
 class ExactLaw:
     """Exact joint law of the component census under uniform pairing."""
@@ -302,10 +307,8 @@ class ExactLaw:
 
     def prob(self, stat: str, value: int) -> Fraction:
         """Exact marginal probability P(stat = value)."""
-        return sum(
-            (p for key, p in self.joint_pmf.items() if _key_value(key, stat) == value),
-            Fraction(0),
-        )
+        return sum((p for key, p in self.joint_pmf.items() if dict(key).get(stat, 0) == value),
+                   Fraction(0))
 
     def expectation(self, stat: str) -> Fraction:
         return self.census_expectations.get(stat, Fraction(0))
@@ -335,9 +338,8 @@ def exact_law(seq: DegreeSequence, cap: int = HALF_EDGE_CAP) -> ExactLaw:
     Each matching carries weight 1/(ell-1)!!. The matchings are counted
     per component structure and (S, M) by _summaries, and each structure
     is classified once. Raises TooLarge, before any counting, when ell
-    exceeds `cap`. The cap bounds half-edges, not memory: a raised cap
-    lets {1:4,2:8,3:8} (ell 44) take about 5.5 s and 290 MiB on a 2-core
-    machine.
+    exceeds `cap`, and while counting, once the tables hold more than
+    TABLE_BUDGET (S, M) entries: the cap bounds half-edges, not memory.
     """
     _check_cap(seq, cap)
     tables = _Tables(seq.ell)

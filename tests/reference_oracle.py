@@ -21,7 +21,6 @@ from cmlab.oracle import (
     CensusKey,
     ExactLaw,
     _check_cap,
-    _key_value,
     census_key,
     enumerate_matchings,
     exact_law,
@@ -99,16 +98,16 @@ def reference_law(seq, cap: int = HALF_EDGE_CAP) -> ExactLaw:
         ell=seq.ell,
         total_matchings=total,
         p_connected=sum(
-            (p for key, p in joint.items() if _key_value(key, "complement") == 0),
+            (p for key, p in joint.items() if dict(key)["complement"] == 0),
             Fraction(0),
         ),
         p_simple=sum(
             (p for key, p in joint.items()
-             if _key_value(key, "S") == 0 and _key_value(key, "M") == 0),
+             if dict(key)["S"] == dict(key)["M"] == 0),
             Fraction(0),
         ),
         census_expectations={
-            stat: sum((p * _key_value(key, stat) for key, p in joint.items()), Fraction(0))
+            stat: sum((p * dict(key).get(stat, 0) for key, p in joint.items()), Fraction(0))
             for stat in stats
         },
         joint_pmf=joint,
@@ -142,6 +141,6 @@ def exact_factorial_moment(
     for key, p in law.joint_pmf.items():
         prod = 1
         for stat, r in orders.items():
-            prod *= _falling_factorial(_key_value(key, stat), r)
+            prod *= _falling_factorial(dict(key).get(stat, 0), r)
         total += p * prod
     return total

@@ -278,6 +278,14 @@ def test_exact_law_cap_beyond_str_is_named_by_magnitude():
         oracle.exact_law(degseq.validate([1, 1]), cap=-10**5000)
 
 
+def test_exact_law_tables_past_the_budget_raise():
+    """The cap bounds half-edges, not tables: with a raised cap,
+    {1:4,2:8,3:8} (ell 44) would store about two million (S, M) entries,
+    and stops at the budget."""
+    with pytest.raises(TooLarge, match=r"pass the budget 500000$"):
+        oracle.exact_law(degseq.from_counts({1: 4, 2: 8, 3: 8}), cap=44)
+
+
 @pytest.mark.parametrize("cap", [2.5, "16", True, None])
 @pytest.mark.parametrize("entry", [oracle.exact_law, oracle.enumerate_matchings])
 def test_cap_must_be_an_integer(entry, cap):
@@ -329,6 +337,18 @@ def test_enumerate_report_bytes_pinned(args, capsys):
     assert cli.run(["enumerate", "--counts", *args.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[args]
+
+
+@pytest.mark.parametrize(
+    "counts",
+    # every pinned law, and the largest of each raised-cap family below
+    [args.split()[0] for args in ENUMERATE_SHA256] + ["12:2", "2:12", "1:2,2:11"])
+def test_tested_laws_fill_under_half_the_budget(counts):
+    """The budget leaves room: no law the tests compute comes near it."""
+    seq = degseq.from_counts(cli._degree_counts(counts))
+    tables = oracle._Tables(seq.ell)
+    oracle._summaries(tuple(seq.degrees.tolist()), tables)
+    assert 0 < tables.entries < oracle.TABLE_BUDGET // 2
 
 
 @pytest.mark.parametrize("k, cap", [(k, oracle.HALF_EDGE_CAP) for k in range(2, 9)]
