@@ -250,8 +250,8 @@ class CensusBuffers:
     sequence; one set serves one thread at a time. A census given these
     writes into them: made afresh each census, their pages and the pairing
     buffer's cost a replicate at n = 1e5 about 1,250 faults and 2 ms of
-    system time. The census's boolean temporaries, an eighth their size,
-    cost 14 faults and are not kept.
+    system time. The census's other temporaries are not kept: once warm, a
+    census given these buffers takes about 0.1 minor faults at n = 1e5.
     """
 
     def __init__(self, seq: DegreeSequence):

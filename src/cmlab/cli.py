@@ -85,7 +85,7 @@ def _resolve_sequence(args: argparse.Namespace) -> degseq.DegreeSequence:
     if args.counts is not None:
         return degseq.from_counts(_degree_counts(args.counts))
     if args.file is not None:
-        return degseq.load_degrees(args.file)
+        return degseq.parse_degrees(Path(args.file).read_text(encoding="utf-8"))
     return degseq.build_sequence(args.n, args.rho1, args.p2, args.bulk)
 
 

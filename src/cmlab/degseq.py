@@ -14,7 +14,6 @@ import sys
 from collections import Counter
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -376,7 +375,7 @@ def build_sequence(
 # ---------------------------------------------------------------------------
 # Degree-sequence file format: one line per entry, either a bare degree
 # (one vertex) or a "degree count" pair; '#' starts a comment line. The
-# serializer emits the run-length form sorted by degree.
+# CLI's --file reads it through parse_degrees.
 # ---------------------------------------------------------------------------
 
 
@@ -407,16 +406,3 @@ def parse_degrees(text: str) -> DegreeSequence:
         counts[deg] += mult
     return from_counts(dict(counts))
 
-
-def format_degrees(seq: DegreeSequence) -> str:
-    """Serialize to the run-length form, sorted by degree."""
-    lines = [f"{deg} {mult}" for deg, mult in sorted(seq.counts.items())]
-    return "\n".join(lines) + "\n"
-
-
-def load_degrees(path: str | Path) -> DegreeSequence:
-    return parse_degrees(Path(path).read_text(encoding="utf-8"))
-
-
-def dump_degrees(seq: DegreeSequence, path: str | Path) -> None:
-    Path(path).write_text(format_degrees(seq), encoding="utf-8")

@@ -28,10 +28,6 @@ class NuInfinite(CmlabError):
     """A formula requiring a finite second-moment ratio was given nu = inf."""
 
 
-class InfeasibleProduct(CmlabError):
-    """The exact no-short-line product needs 2*n1 <= total degree."""
-
-
 class TooLarge(CmlabError):
     """Exhaustive enumeration requested beyond the half-edge cap."""
 

@@ -247,8 +247,6 @@ def _fill(seq: DegreeSequence, master: int, x_max: int,
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval; well-behaved at frequencies near 0 or 1."""
-    if total == 0:
-        return 0.0, 1.0
     z = _WILSON_Z
     phat = successes / total
     denom = 1 + z * z / total

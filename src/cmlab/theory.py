@@ -1,4 +1,4 @@
-"""Closed-form limits and finite-n exact formulas for the critical window.
+"""Closed-form limits and finite-n log graph counts for the critical window.
 
 All limits are driven by LimitParams (rho1, p2, d, nu). Outside 2*p2 < d
 the underlying series diverge and every operation raises SeriesDivergence
@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .degseq import DegreeSequence, LimitParams, is_integer, shown
-from .errors import InfeasibleProduct, NuInfinite, SeriesDivergence
+from .errors import NuInfinite, SeriesDivergence
 
 #: series terms below this are dropped (geometric tail, ratio 2*p2/d < 1)
 SERIES_TOL = 1e-12
@@ -43,7 +42,7 @@ MAX_K = 10
 def _require_series(p: LimitParams) -> None:
     if p.d <= 0 or 2 * p.p2 >= p.d:
         raise SeriesDivergence(
-            f"p2 must be below d/2 for the limit series, got p2={p.p2}, d={p.d}"
+            f"p2 and d must satisfy 2*p2 < d for the limit series, got p2={p.p2}, d={p.d}"
         )
 
 
@@ -289,21 +288,6 @@ def log_count_connected_simple(seq: DegreeSequence, p: LimitParams) -> float:
     log_p = (0.5 * math.log(free / p.d) - p.rho1**2 / (2 * free)
              + (p.p2**2 + p.d * p.p2) / p.d**2)
     return log_count_simple(seq, p) + log_p
-
-
-def p_no_line2_fraction(seq: DegreeSequence) -> Fraction:
-    """Exact rational probability that no two degree-1 vertices are paired.
-
-    prod_{i=1..n1} (ell - n1 - i + 1)/(ell - 2i + 1); requires
-    2*n1 <= ell (otherwise some such pairing is forced).
-    """
-    n1, ell = seq.n1, seq.ell
-    if 2 * n1 > ell:
-        raise InfeasibleProduct(f"need 2*n1 <= ell, got n1={n1}, ell={ell}")
-    prod = Fraction(1)
-    for i in range(1, n1 + 1):
-        prod *= Fraction(ell - n1 - i + 1, ell - 2 * i + 1)
-    return prod
 
 
 @dataclass(frozen=True)

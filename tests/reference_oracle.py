@@ -5,7 +5,9 @@ the census on each (cached by the multigraph's sorted owner pairs) and
 counts each matching once, the slow and direct way. exact_law must agree
 with it exactly on every sequence. enumerate_multigraphs walks each
 multigraph once, with its weight. exact_factorial_moment reads joint
-factorial moments off an exact law.
+factorial moments off an exact law. p_no_line2_fraction is the exact
+finite-n chance, as a product, that no two degree-1 vertices are paired:
+the reference for the L2 limit and for exact_law's P(L2 = 0).
 """
 
 import math
@@ -144,3 +146,18 @@ def exact_factorial_moment(
             prod *= _falling_factorial(dict(key).get(stat, 0), r)
         total += p * prod
     return total
+
+
+def p_no_line2_fraction(seq) -> Fraction:
+    """Exact rational probability that no two degree-1 vertices are paired.
+
+    prod_{i=1..n1} (ell - n1 - i + 1)/(ell - 2i + 1); raises ValueError
+    unless 2*n1 <= ell (otherwise some such pairing is forced).
+    """
+    n1, ell = seq.n1, seq.ell
+    if 2 * n1 > ell:
+        raise ValueError(f"need 2*n1 <= ell, got n1={n1}, ell={ell}")
+    prod = Fraction(1)
+    for i in range(1, n1 + 1):
+        prod *= Fraction(ell - n1 - i + 1, ell - 2 * i + 1)
+    return prod

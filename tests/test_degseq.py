@@ -326,15 +326,6 @@ def test_limit_params_accept_boundaries():
     assert degseq.LimitParams(rho1=1e150, p2=0.3, d=2.7, nu=1e150).nu == 1e150
 
 
-def test_file_round_trip(tmp_path):
-    s = degseq.from_counts({1: 4, 2: 5, 3: 8, 7: 2})
-    path = tmp_path / "degrees.txt"
-    degseq.dump_degrees(s, path)
-    again = degseq.load_degrees(path)
-    assert again == s
-    assert again.counts == s.counts
-
-
 @st.composite
 def degree_sequences(draw, max_n=40, max_degree=6):
     degs = draw(
@@ -349,9 +340,10 @@ def degree_sequences(draw, max_n=40, max_degree=6):
 @given(degree_sequences())
 def test_serialize_parse_identity(raw):
     s = degseq.validate(raw)
-    again = degseq.parse_degrees(degseq.format_degrees(s))
+    text = "".join(f"{deg} {mult}\n" for deg, mult in sorted(s.counts.items()))
+    again = degseq.parse_degrees(text)
     # the run-length file format orders vertices by degree, so the
-    # round-trip identity is on the counts representation
+    # identity is on the counts representation
     assert again.counts == s.counts
     assert (again.n, again.ell) == (s.n, s.ell)
 

