@@ -37,8 +37,6 @@ def _add_build_targets(group) -> None:
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replicates", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--condition-on-simple", action="store_true")
-    parser.add_argument("--x-max", type=int, default=theory.X_MAX)
     parser.add_argument("--threads", type=int, default=1)
 
 
@@ -143,12 +141,12 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _experiment_config(args, **source) -> montecarlo.ExperimentConfig:
-    """The config of simulate and sweep: the run options plus a source
-    (seq or targets, and the echoed source label)."""
+def _experiment_config(args, **fields) -> montecarlo.ExperimentConfig:
+    """The config of simulate and sweep: the run options plus `fields`, a
+    source (seq or targets, and the echoed source label) and, for
+    simulate, x_max and condition_on_simple."""
     return montecarlo.ExperimentConfig(
-        replicates=args.replicates, master_seed=args.seed, x_max=args.x_max,
-        condition_on_simple=args.condition_on_simple, threads=args.threads, **source)
+        replicates=args.replicates, master_seed=args.seed, threads=args.threads, **fields)
 
 
 def _cmd_simulate(args) -> int:
@@ -157,7 +155,9 @@ def _cmd_simulate(args) -> int:
         source = args.file or "inline"
     else:
         source = f"build(n={args.n}, rho1={args.rho1}, p2={args.p2}, bulk={args.bulk})"
-    report = montecarlo.run_experiment(_experiment_config(args, seq=seq, source=source))
+    report = montecarlo.run_experiment(_experiment_config(
+        args, seq=seq, source=source, x_max=args.x_max,
+        condition_on_simple=args.condition_on_simple))
     _emit(report.to_json(), args.out)
     return 0
 
@@ -215,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo experiment report")
     _add_degree_source(p, with_build=True)
     _add_run_options(p)
+    p.add_argument("--condition-on-simple", action="store_true")
+    p.add_argument("--x-max", type=int, default=theory.X_MAX)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 

@@ -50,14 +50,13 @@ from .theory import (
     X_MAX,
     X_MAX_LIMIT,
     Prediction,
-    _series,
     expected_complement,
     lambda_cycle,
     lambda_line,
+    overflow_means,
     p_connected,
     p_simple,
     predict,
-    tail_means,
 )
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -137,7 +136,7 @@ class _Stat:
     name: str
     value: Callable[[ComponentCensus], int]
     theory: Callable[[LimitParams, int], float | None]
-    needs_series: bool = True
+    needs_limit: bool = True
     in_sweep: bool = False
 
 
@@ -149,41 +148,33 @@ def _overflow(counts: dict[int, int]) -> int:
     return sum(cnt for k, cnt in counts.items() if k > MAX_K)
 
 
-def _lambda_tail(p: LimitParams, part: int) -> float:
-    """Cycle (part 0) or line (1) mean mass of the k > MAX_K overflow bucket,
-    by theory._series at 1e-15, with tail_means' closed form as its rest."""
-    fn = (lambda_cycle, lambda_line)[part]
-    return _series(lambda k: fn(k, p), MAX_K + 1,
-                   lambda k: tail_means(p, k - 1)[part], 1e-15)
-
-
 #: the ordered table of statistics, with cycle and line buckets k <= MAX_K
 #: and one overflow bucket each
 _STATS = (
     _Stat("connected", is_connected, lambda p, n: p_connected(p), in_sweep=True),
     _Stat("simple", is_simple, _if_nu_finite(p_simple), in_sweep=True),
     _Stat("S", lambda c: c.self_loops, _if_nu_finite(lambda p: p.nu / 2),
-          needs_series=False, in_sweep=True),
+          needs_limit=False, in_sweep=True),
     _Stat("M", lambda c: c.multi_edges, _if_nu_finite(lambda p: p.nu**2 / 4),
-          needs_series=False, in_sweep=True),
+          needs_limit=False, in_sweep=True),
     _Stat("complement", lambda c: c.complement,
           lambda p, n: expected_complement(p), in_sweep=True),
     _Stat("deg3_outside_giant", lambda c: c.deg3_outside_giant,
-          lambda p, n: 0.0, needs_series=False, in_sweep=True),
+          lambda p, n: 0.0, needs_limit=False, in_sweep=True),
     _Stat("other_outside_giant", lambda c: c.other_outside_giant,
-          lambda p, n: 0.0, needs_series=False),
+          lambda p, n: 0.0, needs_limit=False),
     _Stat("giant_size", lambda c: c.giant_size,
           lambda p, n: n - expected_complement(p)),
     *(_Stat(f"C{k}", lambda c, k=k: c.cycle_counts.get(k, 0),
             lambda p, n, k=k: lambda_cycle(k, p), in_sweep=k <= 2)
       for k in range(1, MAX_K + 1)),
     _Stat(f"C_gt{MAX_K}", lambda c: _overflow(c.cycle_counts),
-          lambda p, n: _lambda_tail(p, 0)),
+          lambda p, n: overflow_means(p)[0]),
     *(_Stat(f"L{k}", lambda c, k=k: c.line_counts.get(k, 0),
             lambda p, n, k=k: lambda_line(k, p), in_sweep=k <= 3)
       for k in range(2, MAX_K + 1)),
     _Stat(f"L_gt{MAX_K}", lambda c: _overflow(c.line_counts),
-          lambda p, n: _lambda_tail(p, 1)),
+          lambda p, n: overflow_means(p)[1]),
 )
 
 
@@ -264,7 +255,7 @@ def _frequency(successes: int, total: int, theory: float | None) -> dict:
 @dataclass(frozen=True)
 class EstimateReport:
     """Aggregated estimates with standard errors and theory deltas; the
-    unserialised `prediction` has no log-count (it needs scipy.special)."""
+    unserialised `prediction` has no log-count (it is made without a sequence)."""
 
     config: dict
     replicates: int
@@ -306,7 +297,8 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
 
     Conditioning on simplicity is by rejection within the same replicate
     set; the report carries the acceptance rate. Raises ZeroAcceptedSamples
-    if conditioning rejects every replicate. Its prediction has no log-count.
+    if conditioning rejects every replicate. Its prediction is made from the
+    limit parameters alone, so it has no log-count.
     """
     seq = cfg.resolve_sequence()
     r = cfg.replicates
@@ -332,7 +324,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateReport:
     report_stats = {
         s.name: _stat_entry(
             *acc.mean_stderr(j),
-            s.theory(params, seq.n) if pred is not None or not s.needs_series else None,
+            s.theory(params, seq.n) if pred is not None or not s.needs_limit else None,
         )
         for j, s in enumerate(_STATS)
     }
@@ -394,6 +386,8 @@ def sweep(template: ExperimentConfig, n_values: list[int]) -> str:
     """
     if template.targets is None:
         raise ValueError("sweep needs a config with build targets")
+    if not n_values:
+        raise ValueError("n_values must not be empty")
     if list(n_values) != sorted(n_values):
         raise ValueError("n_values must be ascending")
     # BuildTargets keeps p2 < 1 and bulk >= 3, so the limit has 2*p2 < d

@@ -164,6 +164,16 @@ def tail_means(p: LimitParams, k_max: int) -> tuple[float, float]:
             p.rho1**2 / (2 * p.d) * x ** (max(k_max, 1) - 1) / (1 - x))
 
 
+def overflow_means(p: LimitParams) -> tuple[float, float]:
+    """Cycle and line mean mass of the k > MAX_K overflow bucket, each by
+    _series at 1e-15, with tail_means' closed form as its rest."""
+    def mean(fn: Callable[[int, LimitParams], float], part: int) -> float:
+        return _series(lambda k: fn(k, p), MAX_K + 1,
+                       lambda k: tail_means(p, k - 1)[part], 1e-15)
+
+    return mean(lambda_cycle, 0), mean(lambda_line, 1)
+
+
 def complement_pmf(p: LimitParams, x_max: int) -> np.ndarray:
     """Law of sum_k k*(C_k + L_k), the limit number of vertices outside
     the giant, on 0..x_max; its entry 0 is p_connected(p). Iterated
@@ -243,32 +253,24 @@ def _poisson_recurrence(lam: float, tail: float) -> list[float] | None:
 
 
 def log_double_factorial_odd(ell: int) -> float:
-    """log((ell-1)!!) for even ell, via log-gamma.
+    """log((ell-1)!!) for even ell >= 0, via math.lgamma.
 
-    (ell-1)!! = ell! / (2^(ell/2) (ell/2)!) counts the pairings of ell
-    half-edges. scipy's gammaln is imported on the first call, not with
-    the module; math.lgamma differs from it in the last bits, so it would
-    change the reports.
+    (ell-1)!! = (ell-1)! / (2^(ell/2-1) (ell/2-1)!) counts the pairings
+    of ell half-edges; in this form its log is exactly 0.0 at ell = 2.
     """
-    # local: only the log-counts need scipy, whose import is slow
-    from scipy.special import gammaln
-
     if ell % 2 != 0 or ell < 0:
         raise ValueError(f"ell must be even and >= 0, got {ell}")
+    if ell == 0:
+        return 0.0
     half = ell // 2
-    return float(gammaln(ell + 1) - half * math.log(2) - gammaln(half + 1))
+    return math.lgamma(ell) - (half - 1) * math.log(2) - math.lgamma(half)
 
 
 def log_count_simple(seq: DegreeSequence, p: LimitParams) -> float:
-    """Natural log of the asymptotic count of simple graphs with these degrees.
-
-    Imports scipy's gammaln on the first call, like log_double_factorial_odd.
-    """
-    # local, as in log_double_factorial_odd: only the log-counts need scipy
-    from scipy.special import gammaln
-
+    """Natural log of the asymptotic count of simple graphs with these
+    degrees: (ell-1)!! / prod_v deg(v)! * exp(-nu/2 - nu^2/4)."""
     _require_finite_nu(p)
-    log_fact = sum(m * float(gammaln(deg + 1)) for deg, m in seq.counts.items())
+    log_fact = sum(m * math.lgamma(deg + 1) for deg, m in seq.counts.items())
     return (
         log_double_factorial_odd(seq.ell) - log_fact - p.nu / 2 - p.nu**2 / 4
     )

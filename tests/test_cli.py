@@ -206,13 +206,25 @@ def test_sweep_n_values_error_names_flag(capsys):
     assert "--n-values: expected an integer vertex count, got 'x'" in err
 
 
+@pytest.mark.parametrize("n_values", ["", ","])
+def test_sweep_empty_n_values_is_an_error(capsys, n_values):
+    code, out, err = _run(
+        ["sweep", "--rho1", "1", "--p2", "0.3", "--n-values", n_values], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: n_values must not be empty\n"
+
+
 @pytest.mark.parametrize(
     "flags",
-    [["--degrees", "1,1"], ["--counts", "1:2"], ["--file", "degs.txt"], ["--n", "50"]],
+    [["--degrees", "1,1"], ["--counts", "1:2"], ["--file", "degs.txt"], ["--n", "50"],
+     ["--x-max", "5"], ["--condition-on-simple"]],
 )
 def test_sweep_takes_only_build_targets(capsys, flags):
     """sweep builds every sequence from --rho1/--p2/--bulk; a degree source
-    or --n is a usage error, not silently ignored."""
+    or --n is a usage error, not silently ignored, and so are simulate's
+    --x-max and --condition-on-simple, which no sweep row reads."""
     with pytest.raises(SystemExit) as exc:
         cli.run(["sweep", "--rho1", "1", "--p2", "0.3", "--n-values", "50",
                  "--replicates", "3", *flags])
@@ -514,6 +526,9 @@ _RUN = _flat([
     _opt("--replicates", _mostly(st.integers(1, 20), 0)),
     _opt("--threads", _mostly(st.integers(1, 4), 0)),
     _opt("--seed", _mostly(st.integers(0, 2**64 - 1), -1, 2**64)),
+])
+_SIMULATE = _flat([
+    _RUN,
     _opt("--x-max", _mostly(st.integers(0, 60), -2)),
     st.sampled_from([[], ["--condition-on-simple"]]),
 ])
@@ -541,7 +556,7 @@ def _argv(draw):
     elif command == "enumerate":
         options = draw(_SOURCE)
     elif command == "simulate":
-        options = draw(st.one_of(_SOURCE, _BUILD)) + draw(_RUN)
+        options = draw(st.one_of(_SOURCE, _BUILD)) + draw(_SIMULATE)
     else:
         options = draw(_TARGETS) + draw(_RUN) + draw(_opt("--n-values", _N_VALUES))
     argv = [command, *options]

@@ -1,14 +1,13 @@
 """scipy is imported on first use, not with the package.
 
-Only two kinds of call load scipy: a census above
-`census._UNION_FIND_MAX_N` vertices (scipy.sparse), and the log-counts of
-`theory` (scipy.special), which `predict` computes when it is handed a
-sequence, as `cmlab theory` with a degree source does. A Monte Carlo run
-predicts without a sequence, so `cmlab simulate` on a small sequence
-loads none of scipy. Importing it costs about as much as the whole exact
-oracle on its reference sequences. These checks run in a fresh
-interpreter: this test session has scipy loaded already
-(`reference_census` imports it).
+Only a census above `census._UNION_FIND_MAX_N` vertices loads scipy
+(scipy.sparse, for its graph search). `theory` needs none of it: its
+log graph counts use math.lgamma, so `predict` with a sequence and
+`cmlab theory` with a degree source load no scipy module, and neither
+do the oracle or `cmlab simulate` on a small sequence. Importing scipy
+costs about as much as the whole exact oracle on its reference
+sequences. These checks run in a fresh interpreter: this test session
+has scipy loaded already (`reference_census` imports it).
 """
 
 import json
@@ -44,6 +43,12 @@ def test_oracle_and_small_census_load_no_scipy():
         step("cmlab enumerate")
         theory.predict(degseq.LimitParams(rho1=1.0, p2=0.3, d=2.7, nu=2.0))
         step("predict without a sequence")
+        seq = degseq.from_counts({1: 10, 2: 30, 3: 60})
+        theory.predict(degseq.limit_params(seq), seq=seq)
+        step("predict with a sequence")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["theory", "--counts", "1:10,2:30,3:60"]) == 0
+        step("cmlab theory")
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["simulate", "--counts", "1:10,2:30,3:60",
                             "--replicates", "50", "--seed", "3"]) == 0
@@ -62,6 +67,8 @@ def test_oracle_and_small_census_load_no_scipy():
         "exact_law": [],
         "cmlab enumerate": [],
         "predict without a sequence": [],
+        "predict with a sequence": [],
+        "cmlab theory": [],
         "cmlab simulate": [],
         "union-find census": [],
     }

@@ -258,8 +258,7 @@ def test_overflow_bucket_theory_near_criticality():
     x = 2 * p.p2 / p.d
     cycles = (-math.log1p(-x) - math.fsum(x**k / k for k in range(1, 11))) / 2
     lines = x**9 / 2 / (1 - x)
-    assert montecarlo._lambda_tail(p, 0) == pytest.approx(cycles, rel=1e-9)
-    assert montecarlo._lambda_tail(p, 1) == pytest.approx(lines, rel=1e-9)
+    assert theory.overflow_means(p) == pytest.approx((cycles, lines), rel=1e-9)
     assert cycles == pytest.approx(4.29, abs=0.01)
     assert lines == pytest.approx(49995, abs=1)
 
@@ -449,12 +448,13 @@ def _sweep_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def test_sweep_empty_and_header():
+def test_sweep_rejects_empty_n_values():
+    """An empty list is an error naming n_values, not a bare header."""
     template = montecarlo.ExperimentConfig(
         targets=montecarlo.BuildTargets(n=1, rho1=1.0, p2=0.3), replicates=10
     )
-    text = montecarlo.sweep(template, [])
-    assert text == montecarlo.SWEEP_HEADER + "\n"
+    with pytest.raises(ValueError, match="^n_values must not be empty"):
+        montecarlo.sweep(template, [])
 
 
 def test_sweep_infeasible_row_surfaced():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from cmlab import degseq, theory
+from cmlab import degseq, montecarlo, oracle, theory
 from cmlab.degseq import LimitParams
 from cmlab.errors import InvalidLimitParams, NuInfinite, SeriesDivergence
 from reference_oracle import p_no_line2_fraction
@@ -356,6 +357,37 @@ def test_log_double_factorial():
         math.log(10395), abs=1e-12
     )
     assert theory.log_double_factorial_odd(2) == 0.0
+
+
+def test_log_double_factorial_against_exact_and_gammaln():
+    """log((ell-1)!!) by math.lgamma: within 2e-15 of the log of the exact
+    integer for every even ell <= 400, and within 1e-14 of scipy's gammaln
+    form at int32 scale."""
+    for ell in range(0, 401, 2):
+        exact = math.log(oracle.double_factorial_odd(ell))
+        assert theory.log_double_factorial_odd(ell) == pytest.approx(exact, rel=2e-15, abs=0)
+    for ell in (2**20, 2**30, 2**31 - 2, 1_234_567_890):
+        half = ell // 2
+        ref = float(gammaln(ell + 1) - half * math.log(2) - gammaln(half + 1))
+        assert theory.log_double_factorial_odd(ell) == pytest.approx(ref, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (montecarlo.sweep,
+         (montecarlo.ExperimentConfig(seq=degseq.validate([2, 2])), [10]),
+         "sweep needs a config with build targets"),
+        (oracle.double_factorial_odd, (3,), "ell must be even and >= 0, got 3"),
+        (oracle.double_factorial_odd, (-2,), "ell must be even and >= 0, got -2"),
+        (theory.lambda_line, (0, P), "k must be >= 1, got 0"),
+        (theory.lambda_cycle, (-1, P), "k must be >= 1, got -1"),
+        (theory.log_double_factorial_odd, (5,), "ell must be even and >= 0, got 5"),
+    ],
+)
+def test_out_of_domain_arguments_raise(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*args)
 
 
 def test_log_count_connected_simple_hand_value():
